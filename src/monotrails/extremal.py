@@ -35,8 +35,8 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import ExhaustiveTooLargeError, InvalidGraphError, InvalidStructureError
-from .graphs import EdgeKey, WeightedGraph, validate
+from .errors import ExhaustiveTooLargeError, InvalidStructureError
+from .graphs import EdgeKey, WeightedGraph
 from .labeling import Order, final_label_lengths, longest_ordered_trail
 
 EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; minutes, not hours
@@ -106,13 +106,15 @@ class ExtremalReport:
 
 @dataclass
 class BoundCheck:
-    """Longest-trail length versus the two floor-form lower bounds."""
+    """Longest-trail length versus the two floor-form lower bounds, with the
+    final decreasing labels the length was taken from."""
 
     p_d: int
     bound_two_floor_q_over_n: int
     bound_floor_two_q_over_n: int
     holds_a: bool
     holds_b: bool
+    labels: list[int]
 
 
 def _scan_orders_task(args) -> tuple[int, tuple[int, ...] | None, int]:
@@ -280,12 +282,10 @@ def check_lower_bound(g: WeightedGraph) -> BoundCheck:
     Both must hold on every valid graph: the label sum grows by at least 2
     per processed edge, so the final sum is >= 2q and some vertex carries a
     label of at least floor(2q/n).  A failure signals an implementation bug
-    and is reported, not raised.
+    and is reported, not raised.  An invalid graph raises InvalidGraphError.
     """
-    bad = validate(g)
-    if bad:
-        raise InvalidGraphError(bad)
-    p_d = longest_ordered_trail(g, Order.DECREASING).optimum
+    report = longest_ordered_trail(g, Order.DECREASING)
+    p_d = report.optimum
     bound_a = 2 * (g.q // g.n)
     bound_b = (2 * g.q) // g.n
     return BoundCheck(
@@ -294,6 +294,7 @@ def check_lower_bound(g: WeightedGraph) -> BoundCheck:
         bound_floor_two_q_over_n=bound_b,
         holds_a=p_d >= bound_a,
         holds_b=p_d >= bound_b,
+        labels=report.labels,
     )
 
 

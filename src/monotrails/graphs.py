@@ -144,9 +144,20 @@ def is_valid(g: WeightedGraph) -> bool:
 def ranked_edges(g: WeightedGraph) -> list[EdgeKey]:
     """Edge keys in ascending weight order; rank i edge is ranked_edges[i-1].
 
-    In strict mode rank equals weight.
+    In strict mode rank equals weight, and the integer weights are the sort
+    key.  Relaxed weights sort by (float(w), w): a correctly rounded float
+    never reverses an order, so weights whose floats differ are ordered by
+    one float comparison and only weights whose floats tie are compared
+    exactly.  A weight too large for a float falls back to the exact key.
+    The order is the same as sorting by the weights themselves.
     """
-    return sorted(g.edges, key=g.edges.__getitem__)
+    weights = g.edges
+    if g.mode is Mode.RELAXED:
+        try:
+            return sorted(weights, key=lambda e: (float(weights[e]), weights[e]))
+        except OverflowError:
+            pass
+    return sorted(weights, key=weights.__getitem__)
 
 
 def weighted_subgraph(g: WeightedGraph, i: int) -> WeightedGraph:
@@ -285,10 +296,16 @@ def parse_edge_list(text: str, mode: Mode | None = None) -> WeightedGraph:
 def _parse_weight(token: str, line_no: int) -> Weight:
     if "/" in token:
         raise EdgeListParseError(line_no, f"weight {token!r} must be an integer or decimal")
-    try:
-        return int(token)
-    except ValueError:
-        pass
+    whole, dot, frac = token.partition(".")
+    if not dot:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    elif token.isascii() and whole.isdigit() and frac.isdigit():
+        # Plain decimal "123.456": the value Fraction(token) gives, without its regex.
+        w = Fraction(int(whole + frac), 10 ** len(frac))
+        return int(w) if w.denominator == 1 else w
     try:
         w = Fraction(token)
     except ValueError:

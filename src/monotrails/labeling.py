@@ -15,6 +15,14 @@ per vertex is maintained by prepending the new step onto the other
 endpoint's old witness whenever its label improves; ties keep the
 incumbent witness so results are deterministic.
 
+run_labeling_sorted, longest_ordered_trail, label_state_at and get_label
+share one private fold, _fold, over the edges sorted once.  It keeps each
+witness as a shared-tail cons cell, ((u, v), rest) or None for the empty
+trail, so an improvement costs O(1) instead of a copy of the trail; a cell
+is unrolled into a list only when a caller asks for that vertex's witness.
+propagate_step keeps the step written out on plain lists: it is the
+single-step reference the fold is tested against.
+
 The maximum label after all q steps is the length of a longest strictly
 decreasing trail in the whole graph; increasing trails are obtained from
 decreasing witnesses via reverse_dual, since the optima coincide on
@@ -81,14 +89,44 @@ def propagate_step(state: LabelState, g: WeightedGraph) -> LabelState:
     return LabelState(step=state.step + 1, labels=labels, witnesses=witnesses)
 
 
+def _fold(n: int, ranked: Iterable[EdgeKey]) -> tuple[list[int], list]:
+    """The label kernel: fold the update over edges given in ascending
+    weight order.  Returns the labels and each vertex's witness cell.
+
+    Cells nest as deep as their trail is long, so they are only ever
+    unrolled: comparing or printing one recurses once per step.
+    """
+    labels = [0] * n
+    cells: list = [None] * n
+    for edge in ranked:
+        u, v = edge
+        lu, lv = labels[u], labels[v]
+        cu, cv = cells[u], cells[v]
+        if lv >= lu:
+            labels[u] = lv + 1
+            cells[u] = (edge, cv)
+        if lu >= lv:
+            labels[v] = lu + 1
+            cells[v] = ((v, u), cu)
+    return labels, cells
+
+
+def _unroll(cell) -> Trail:
+    """The trail a witness cell stands for, first step first."""
+    trail = []
+    while cell is not None:
+        step, cell = cell
+        trail.append(step)
+    return trail
+
+
 def label_state_at(g: WeightedGraph, i: int) -> LabelState:
-    """State after i applications of propagate_step from the zero state."""
+    """State after i applications of propagate_step from the zero state,
+    computed by one fold over the i lowest-ranked edges."""
     if not 0 <= i <= g.q:
         raise RankOutOfRangeError(f"step {i} outside 0..{g.q}")
-    state = initial_state(g)
-    for _ in range(i):
-        state = propagate_step(state, g)
-    return state
+    labels, cells = _fold(g.n, ranked_edges(g)[:i])
+    return LabelState(step=i, labels=labels, witnesses=[_unroll(c) for c in cells])
 
 
 def get_label(g: WeightedGraph, i: int, v: int) -> int:
@@ -99,25 +137,21 @@ def get_label(g: WeightedGraph, i: int, v: int) -> int:
     return label_state_at(g, i).labels[v]
 
 
-def run_labeling_sorted(g: WeightedGraph) -> LabelState:
-    """Full labeling in a single pass: sort the edges by weight once and
-    fold the update over them in place.  Produces a state identical to q
-    applications of propagate_step (which re-ranks at every step)."""
+def _valid_fold(g: WeightedGraph) -> tuple[list[int], list]:
+    """_fold over the whole graph, after validate; raises InvalidGraphError."""
     bad = validate(g)
     if bad:
         raise InvalidGraphError(bad)
-    labels = [0] * g.n
-    witnesses: list[Trail] = [[] for _ in range(g.n)]
-    for u, v in ranked_edges(g):
-        lu, lv = labels[u], labels[v]
-        wu, wv = witnesses[u], witnesses[v]
-        if lv + 1 > lu:
-            labels[u] = lv + 1
-            witnesses[u] = [(u, v)] + wv
-        if lu + 1 > lv:
-            labels[v] = lu + 1
-            witnesses[v] = [(v, u)] + wu
-    return LabelState(step=g.q, labels=labels, witnesses=witnesses)
+    return _fold(g.n, ranked_edges(g))
+
+
+def run_labeling_sorted(g: WeightedGraph) -> LabelState:
+    """Full labeling in a single pass: sort the edges by weight once, fold
+    the update over them and unroll every vertex's witness.  Produces a
+    state identical to q applications of propagate_step (which re-ranks at
+    every step)."""
+    labels, cells = _valid_fold(g)
+    return LabelState(step=g.q, labels=labels, witnesses=[_unroll(c) for c in cells])
 
 
 def final_label_lengths(n: int, edges_in_order: Iterable[Sequence[int]]) -> list[int]:
@@ -142,10 +176,10 @@ def longest_ordered_trail(g: WeightedGraph, kind: Order) -> TrailReport:
     the smallest vertex attaining it (for increasing trails, the dual of
     that vertex's decreasing witness, which therefore ends there).
     """
-    state = run_labeling_sorted(g)  # raises InvalidGraphError on bad input
-    optimum = max(state.labels)
-    best_v = state.labels.index(optimum)
-    witness = state.witnesses[best_v]
+    labels, cells = _valid_fold(g)  # raises InvalidGraphError on bad input
+    optimum = max(labels)
+    best_v = labels.index(optimum)
+    witness = _unroll(cells[best_v])
     if kind is Order.INCREASING:
         witness = reverse_dual(witness)
     start = witness[0][0] if witness else best_v
@@ -154,7 +188,7 @@ def longest_ordered_trail(g: WeightedGraph, kind: Order) -> TrailReport:
         optimum=optimum,
         start=start,
         witness=witness,
-        labels=state.labels,
+        labels=labels,
         bound_two_floor_q_over_n=2 * (g.q // g.n),
         bound_floor_two_q_over_n=(2 * g.q) // g.n,
     )

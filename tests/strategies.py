@@ -40,6 +40,30 @@ def relaxed_graphs(draw, min_n: int = 1, max_n: int = 6, min_m: int = 0):
     return WeightedGraph(n=base.n, edges=edges, mode=Mode.RELAXED)
 
 
+# Relaxed weights that stress a float-first sort key: decimals whose doubles
+# tie (all round to 1.0), integers beyond float range, rationals that
+# underflow to 0.0, and ordinary values.
+_FLOAT_TRAP_WEIGHTS = st.one_of(
+    st.integers(1, 60).map(lambda k: Fraction(10**20 + k, 10**20)),
+    st.integers(0, 60).map(lambda k: 10**400 + k),
+    st.integers(1, 60).map(lambda k: Fraction(k, 10**400)),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+    st.integers(1, 60),
+)
+
+
+@st.composite
+def float_trap_graphs(draw, max_n: int = 8, distinct: bool = True):
+    """Relaxed graphs over _FLOAT_TRAP_WEIGHTS; with distinct=False weights
+    may repeat, which makes the graph invalid but still rankable."""
+    n = draw(st.integers(2, max_n))
+    keys = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))
+    weights = draw(
+        st.lists(_FLOAT_TRAP_WEIGHTS, min_size=len(keys), max_size=len(keys), unique=distinct)
+    )
+    return WeightedGraph(n=n, edges=dict(zip(keys, weights)), mode=Mode.RELAXED)
+
+
 def any_graphs(**kwargs):
     return st.one_of(strict_graphs(**kwargs), relaxed_graphs(**kwargs))
 

@@ -35,7 +35,9 @@ from monotrails.errors import (
     WrongPermutationLengthError,
 )
 
-from strategies import any_graphs, strict_graphs
+from monotrails.graphs import _parse_weight
+
+from strategies import any_graphs, float_trap_graphs, strict_graphs
 
 
 class TestConstruction:
@@ -215,6 +217,53 @@ class TestRankedEdges:
         weights = [g.edges[k] for k in ranked]
         assert weights == sorted(weights)
         assert set(ranked) == set(g.edges)
+
+    @settings(max_examples=200)
+    @given(st.one_of(float_trap_graphs(), float_trap_graphs(distinct=False)))
+    def test_float_first_key_is_the_exact_sort(self, g):
+        assert ranked_edges(g) == sorted(g.edges, key=g.edges.__getitem__)
+
+    def test_weights_whose_floats_tie(self):
+        g = parse_edge_list(
+            "p 3 3\n"
+            "e 1 2 1.00000000000000000002\n"
+            "e 2 3 1.00000000000000000001\n"
+            "e 1 3 1\n"
+        )
+        assert float(g.edges[(0, 1)]) == float(g.edges[(1, 2)])
+        assert ranked_edges(g) == [(0, 2), (1, 2), (0, 1)]
+
+    def test_weight_beyond_float_range(self):
+        g = parse_edge_list("p 3 3\ne 1 2 1e400\ne 2 3 2.5\ne 1 3 1e399\n")
+        assert g.mode is Mode.RELAXED and g.edges[(0, 1)] == 10**400
+        assert ranked_edges(g) == [(1, 2), (0, 2), (0, 1)]
+
+
+def _assert_parses_like_fraction(token):
+    """_parse_weight gives Fraction(token), normalised to int when whole."""
+    expected = Fraction(token)
+    if expected.denominator == 1:
+        expected = int(expected)
+    w = _parse_weight(token, 1)
+    assert w == expected and type(w) is type(expected)
+
+
+class TestParseWeight:
+    @settings(max_examples=300)
+    @given(st.from_regex(r"\A[0-9]{1,30}\.[0-9]{1,30}\Z"))
+    def test_decimal_tokens_match_fraction(self, token):
+        _assert_parses_like_fraction(token)
+
+    @pytest.mark.parametrize(
+        "token", ["5.", ".5", "+1.5", "1_0.5", "1e3", "2.50e-1", "\u0661.\u0665", " 1.5", "0.0"]
+    )
+    def test_other_forms_take_the_fraction_path(self, token):
+        _assert_parses_like_fraction(token)
+
+    @pytest.mark.parametrize("token", ["\u00b2.5", "1.2.3", "1..5", "x.5", "."])
+    def test_malformed_decimals_are_parse_errors(self, token):
+        with pytest.raises(EdgeListParseError):
+            _parse_weight(token, 7)
 
 
 class TestEdgeListFormat:

@@ -166,6 +166,18 @@ class TestGetLabel:
             get_label(k4, 3, 9)
 
 
+class TestFoldMatchesSteps:
+    @settings(max_examples=60)
+    @given(any_graphs())
+    def test_label_state_at_is_repeated_propagate_step(self, g):
+        state = initial_state(g)
+        assert label_state_at(g, 0) == state
+        for i in range(1, g.q + 1):
+            state = propagate_step(state, g)
+            assert label_state_at(g, i) == state
+            assert [get_label(g, i, v) for v in range(g.n)] == state.labels
+
+
 class TestRunLabelingSorted:
     def test_matches_stepwise_on_worked_example(self, k4):
         final = run_labeling_sorted(k4)

@@ -134,12 +134,17 @@ def _cmd_compute(args) -> int:
     return 0
 
 
+def _oracle_agreement(g: WeightedGraph, optimum: int, labels: list[int]):
+    """Brute-force result for g, and whether it agrees with the algorithm's
+    optimum and with its labels vertex by vertex."""
+    result = brute_force_longest(g)
+    return result, result.optimum == optimum, result.per_vertex == labels
+
+
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.file, args.mode)
-    result = brute_force_longest(g)
     report = longest_ordered_trail(g, Order.DECREASING)
-    optimum_ok = result.optimum == report.optimum
-    per_vertex_ok = result.per_vertex == report.labels
+    result, optimum_ok, per_vertex_ok = _oracle_agreement(g, report.optimum, report.labels)
     if args.json:
         _emit_json(
             {
@@ -167,9 +172,7 @@ def _cmd_check(args) -> int:
     oracle_ok = True
     oracle_note = f"skipped (n > {ORACLE_MAX_N})"
     if g.n <= ORACLE_MAX_N:
-        result = brute_force_longest(g)
-        optimum_ok = result.optimum == bc.p_d
-        per_vertex_ok = result.per_vertex == bc.labels
+        result, optimum_ok, per_vertex_ok = _oracle_agreement(g, bc.p_d, bc.labels)
         oracle_ok = optimum_ok and per_vertex_ok
         oracle_note = "pass" if oracle_ok else "FAIL"
         oracle_json = {

@@ -6,12 +6,13 @@ longest-decreasing-trail length under every assignment of the weights
 the minimum together with a witness weighting.  The witness is the
 lexicographically smallest weight vector, in canonical edge order, that
 achieves the minimum, which makes the result independent of how the
-permutation space is partitioned across workers.
+search is split into tasks and across workers.
 
-Exhaustive mode enumerates processing orders rather than weight vectors
-(the two are inverse permutations of each other) because the label update
-consumes edges in ascending weight order anyway; a weight vector is only
-materialized when its value ties or beats the incumbent minimum.
+One engine, _scan, folds processing orders rather than weight vectors (the
+two are inverse permutations of each other) because the label update
+consumes edges in ascending weight order anyway.  The modes only build its
+tasks: exhaustive mode one per edge of weight 1, over all orders of the
+rest; sampled mode chunks of orders drawn lazily from one seeded stream.
 
 Symmetry reduction (complete graphs, n >= 3): relabeling vertices never
 changes trail lengths, and no nontrivial relabeling fixes a
@@ -23,13 +24,15 @@ remaining vertices by their weight to v1:
 
     w(v1,v2) = 1,   w(v1,v3) < w(v1,v4) < ... ,   w(v1,v3) < min_x w(v2,x)
 
-which cuts the q! scan down to exactly q!/n! evaluated weightings.
+One task per choice of the weights on the hub edges (v1,x) and the rivals
+(v2,x) yields exactly its canonical orders: q!/n! in all, none filtered.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -37,9 +40,10 @@ from itertools import combinations, permutations
 
 from .errors import ExhaustiveTooLargeError, InvalidStructureError
 from .graphs import EdgeKey, WeightedGraph
-from .labeling import Order, final_label_lengths, longest_ordered_trail
+from .labeling import Order, _fold, longest_ordered_trail
 
 EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; minutes, not hours
+SAMPLE_CHUNK = 4096  # sampled orders per task, so a large count streams
 
 
 @dataclass(frozen=True)
@@ -117,23 +121,25 @@ class BoundCheck:
     labels: list[int]
 
 
-def _scan_orders_task(args) -> tuple[int, tuple[int, ...] | None, int]:
-    """Evaluate every processing order starting with edge index `first`.
-
-    Returns (min value, lex-min achieving weight vector, orders examined).
+def _scan(task) -> tuple[int, tuple[int, ...], int]:
+    """Evaluate one task (n, endpoints, start, orders_fn, orders_args): the
+    edges indexed by `start` take the weights 1..len(start) and are folded
+    once, then each order of the other edge indices from orders_fn(*orders_args)
+    is folded on a copy.  Returns (min value, lex-min weight vector achieving
+    it, orders examined); orders_fn must yield at least one order.
     """
-    n, endpoints, first = args
+    n, endpoints, start, orders_fn, orders_args = task
     q = len(endpoints)
-    rest_idx = [j for j in range(q) if j != first]
-    fu, fv = endpoints[first]
+    base = _fold(n, [endpoints[j] for j in start])[0]
+    w = [0] * q  # weight buffer: start written once, each order on demand
+    for rank, j in enumerate(start, 1):
+        w[j] = rank
     best = q + 1
     best_w: tuple[int, ...] | None = None
     examined = 0
-    for p in permutations(rest_idx):
-        labels = [0] * n
-        labels[fu] = 1
-        labels[fv] = 1
-        for j in p:
+    for order in orders_fn(*orders_args):
+        labels = base[:]
+        for j in order:
             u, v = endpoints[j]
             lu = labels[u]
             lv = labels[v]
@@ -144,66 +150,52 @@ def _scan_orders_task(args) -> tuple[int, tuple[int, ...] | None, int]:
         value = max(labels)
         examined += 1
         if value <= best:
-            wvec = [0] * q
-            wvec[first] = 1
-            for i, j in enumerate(p):
-                wvec[j] = i + 2
-            wt = tuple(wvec)
+            for rank, j in enumerate(order, len(start) + 1):
+                w[j] = rank
+            wt = tuple(w)
             if value < best or wt < best_w:
                 best = value
                 best_w = wt
     return best, best_w, examined
 
 
-def _scan_weightings_task(args) -> tuple[int, tuple[int, ...] | None, int]:
-    """Evaluate explicit weight vectors; same reduction as _scan_orders_task."""
-    n, endpoints, wvecs = args
-    q = len(endpoints)
-    best = q + 1
-    best_w: tuple[int, ...] | None = None
-    for wvec in wvecs:
-        order = sorted(range(q), key=wvec.__getitem__)
-        labels = final_label_lengths(n, (endpoints[j] for j in order))
-        value = max(labels)
-        if value < best or (value == best and wvec < best_w):
-            best = value
-            best_w = wvec
-    return best, best_w, len(wvecs)
+def _canonical_orders(n: int, q: int, slots: tuple[int, ...]):
+    """The canonical orders of K_n after (v1,v2) with the hub and rival
+    edges at `slots` (slot s has weight s + 2): (v1,v3) at the first slot."""
+    order = [0] * (q - 1)
+    order[slots[0]] = 1
+    others = [s for s in range(q - 1) if s not in slots]
+    for hub_slots in combinations(slots[1:], n - 3):
+        for s, j in zip(hub_slots, range(2, n - 1)):
+            order[s] = j
+        rival_slots = [s for s in slots[1:] if s not in hub_slots]
+        for rivals in permutations(range(n - 1, 2 * n - 3)):
+            for s, j in zip(rival_slots, rivals):
+                order[s] = j
+            for tail in permutations(range(2 * n - 3, q)):
+                for s, j in zip(others, tail):
+                    order[s] = j
+                yield tuple(order)
 
 
-def _scan_reduced_complete(n: int, endpoints) -> tuple[int, tuple[int, ...] | None, int]:
-    """One canonical weighting per vertex-relabeling orbit of K_n (n >= 3)."""
-    q = len(endpoints)
-    hub = range(1, n - 2)          # adjacent pairs among edges (v1,v3)..(v1,vn)
-    rival = range(n - 1, 2 * n - 3)  # edges (v2,v3)..(v2,vn)
-    best = q + 1
-    best_w: tuple[int, ...] | None = None
-    examined = 0
-    for tail in permutations(range(2, q + 1)):
-        w = (1,) + tail
-        if any(w[i] >= w[i + 1] for i in hub):
-            continue
-        if any(w[1] >= w[j] for j in rival):
-            continue
-        order = sorted(range(q), key=w.__getitem__)
-        labels = final_label_lengths(n, (endpoints[j] for j in order))
-        value = max(labels)
-        examined += 1
-        if value < best or (value == best and w < best_w):
-            best = value
-            best_w = w
-    return best, best_w, examined
+def _sampled_tasks(n: int, endpoints, mode: Sampled, chunk: int):
+    """Chunks of sampled orders, built lazily: order i inverts the i-th
+    Fisher-Yates shuffle of one seeded stream, whatever the chunk size."""
+    rng = random.Random(mode.seed)
+    ranks = list(range(len(endpoints)))
+    for lo in range(0, mode.count, chunk):
+        orders = []
+        for _ in range(min(chunk, mode.count - lo)):
+            w = ranks.copy()
+            rng.shuffle(w)
+            orders.append(sorted(ranks, key=w.__getitem__))
+        yield (n, endpoints, (), iter, (orders,))
 
 
-def _merge(results) -> tuple[int, tuple[int, ...] | None, int]:
-    best, best_w, examined = None, None, 0
-    for value, wvec, count in results:
-        examined += count
-        if wvec is None:
-            continue
-        if best is None or value < best or (value == best and wvec < best_w):
-            best, best_w = value, wvec
-    return best, best_w, examined
+def _merge(results) -> tuple[int, tuple[int, ...], int]:
+    """The least (value, witness) over the task results, and the summed count."""
+    best, best_w = min((value, wvec) for value, wvec, _ in results)
+    return best, best_w, sum(count for _, _, count in results)
 
 
 def min_over_weightings(
@@ -219,9 +211,12 @@ def min_over_weightings(
     set and the structure is complete with n >= 3 (reduction is silently
     disabled otherwise).  Sampled mode draws `count` uniform weight
     permutations from the given seed via Fisher-Yates (random.Random).
-    Results, including the witness, are identical for any `jobs` value.
+    Results, including the witness, are identical for any `jobs` >= 1;
+    at most min(jobs, usable CPUs, tasks) worker processes are started.
     """
     _check_structure(structure)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     n, endpoints, q = structure.n, structure.edges, structure.q
     t0 = time.perf_counter()
     reduction_factor = 1
@@ -232,47 +227,49 @@ def min_over_weightings(
                 f"q={q} exceeds the exhaustive guard of {EXHAUSTIVE_MAX_EDGES}; "
                 "use Sampled mode"
             )
-        if q == 0:
-            best, best_w, examined = 0, (), 1
-        elif reduce_symmetry and structure.is_complete and n >= 3:
+        if reduce_symmetry and structure.is_complete and n >= 3:
             reduction_factor = math.factorial(n)
-            best, best_w, examined = _scan_reduced_complete(n, endpoints)
-        else:
-            tasks = [(n, endpoints, first) for first in range(q)]
-            best, best_w, examined = _merge(_run_tasks(_scan_orders_task, tasks, jobs))
+            slot_sets = combinations(range(q - 1), 2 * n - 4)
+            tasks = [(n, endpoints, (0,), _canonical_orders, (n, q, s)) for s in slot_sets]
+        else:  # one task per edge of weight 1; no edges, one empty order
+            tasks = [
+                (n, endpoints, (first,), permutations, ([j for j in range(q) if j != first],))
+                for first in range(q)
+            ] or [(n, endpoints, (), permutations, ((),))]
+        n_tasks = len(tasks)
     else:
         if mode.count < 1:
             raise ValueError(f"sample count must be >= 1, got {mode.count}")
-        rng = random.Random(mode.seed)
-        base = list(range(1, q + 1))
-        wvecs = []
-        for _ in range(mode.count):
-            w = base.copy()
-            rng.shuffle(w)
-            wvecs.append(tuple(w))
-        chunk = max(1, len(wvecs) // max(jobs * 4, 1))
-        tasks = [
-            (n, endpoints, wvecs[i : i + chunk]) for i in range(0, len(wvecs), chunk)
-        ]
-        best, best_w, examined = _merge(_run_tasks(_scan_weightings_task, tasks, jobs))
+        chunk = max(1, min(SAMPLE_CHUNK, mode.count // (4 * jobs)))
+        tasks = _sampled_tasks(n, endpoints, mode, chunk)
+        n_tasks = -(-mode.count // chunk)
+    best, best_w, examined = _merge(_run_tasks(tasks, n_tasks, jobs))
 
     return ExtremalReport(
         structure=structure,
         mode=mode,
         examined=examined,
         minimum=best,
-        witness=best_w if best_w is not None else (),
+        witness=best_w,
         reduction_factor=reduction_factor,
         elapsed_s=time.perf_counter() - t0,
     )
 
 
-def _run_tasks(fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(fn, tasks)
+def _pool_size(jobs: int, cpus: int, tasks: int) -> int:
+    """Worker processes: no more than asked for, usable CPUs or tasks."""
+    return min(jobs, cpus, tasks)
+
+
+def _run_tasks(tasks, n_tasks: int, jobs: int):
+    """_scan over each task.  A lazy task stream is read as tasks are handed
+    out, so it is never held whole, here or with a pool."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = _pool_size(jobs, cpus or 1, n_tasks)
+    if size == 1:
+        return list(map(_scan, tasks))
+    with multiprocessing.get_context("fork").Pool(processes=size) as pool:
+        return list(pool.imap(_scan, tasks))
 
 
 def check_lower_bound(g: WeightedGraph) -> BoundCheck:

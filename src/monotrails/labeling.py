@@ -15,8 +15,10 @@ per vertex is maintained by prepending the new step onto the other
 endpoint's old witness whenever its label improves; ties keep the
 incumbent witness so results are deterministic.
 
-run_labeling_sorted, longest_ordered_trail, label_state_at and get_label
-share one private fold, _fold, over the edges sorted once.  It keeps each
+run_labeling_sorted, longest_ordered_trail, label_state_at, get_label and
+final_label_lengths share one private fold, _fold, over the edges sorted
+once; the extremal search writes out a labels-only copy of the update in
+its own scan loop, where millions of orders are folded.  _fold keeps each
 witness as a shared-tail cons cell, ((u, v), rest) or None for the empty
 trail, so an improvement costs O(1) instead of a copy of the trail; a cell
 is unrolled into a list only when a caller asks for that vertex's witness.
@@ -155,18 +157,9 @@ def run_labeling_sorted(g: WeightedGraph) -> LabelState:
 
 
 def final_label_lengths(n: int, edges_in_order: Iterable[Sequence[int]]) -> list[int]:
-    """Label lengths only, no witnesses: the bare update folded over edges
-    given already in ascending weight order.  Hot path for the extremal
-    search, where millions of weightings are scanned."""
-    labels = [0] * n
-    for u, v in edges_in_order:
-        lu = labels[u]
-        lv = labels[v]
-        if lv >= lu:
-            labels[u] = lv + 1
-        if lu >= lv:
-            labels[v] = lu + 1
-    return labels
+    """Label lengths only: the update folded over edges given already in
+    ascending weight order."""
+    return _fold(n, edges_in_order)[0]
 
 
 def longest_ordered_trail(g: WeightedGraph, kind: Order) -> TrailReport:

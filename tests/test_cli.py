@@ -175,6 +175,13 @@ class TestExtremal:
         _, with_env, _ = run_cli(capsys, "extremal", "--complete", "4", "--exhaustive", "--json")
         assert base == with_jobs == with_env
 
+    def test_jobs_below_one_exit_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, "extremal", "--complete", "3", "--exhaustive", "--jobs", "0")
+        assert code == 2 and out == "" and "jobs must be >= 1" in err
+        monkeypatch.setenv("TRAIL_JOBS", "-1")
+        code, out, err = run_cli(capsys, "extremal", "--complete", "3", "--sample", "5")
+        assert code == 2 and out == "" and "jobs must be >= 1" in err
+
 
 class TestGen:
     def test_round_trip(self, capsys, tmp_path):

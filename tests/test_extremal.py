@@ -6,6 +6,7 @@ brute-force trail search, never with the label-propagation algorithm the
 extremal module uses internally.
 """
 
+import math
 from itertools import combinations, permutations
 
 import pytest
@@ -25,7 +26,9 @@ from monotrails import (
     random_graph,
     structure_of,
 )
+from monotrails import extremal
 from monotrails.errors import ExhaustiveTooLargeError, InvalidStructureError
+from monotrails.graphs import Mode, WeightedGraph
 
 from strategies import strict_graphs
 
@@ -40,6 +43,33 @@ def oracle_min_over_weightings(n: int) -> tuple[int, tuple[int, ...]]:
         if value < best or (value == best and perm < best_w):
             best, best_w = value, perm
     return best, best_w
+
+
+def canonical(n: int, w) -> bool:
+    """The orbit-representative condition on a weight vector of K_n, from its
+    definition: weight 1 on (v1,v2), weights to v1 increasing along v3..vn,
+    and w(v1,v3) below every weight to v2 other than the pinned one."""
+    index = {k: i for i, k in enumerate(combinations(range(n), 2))}
+    if w[index[(0, 1)]] != 1:
+        return False
+    hub = [w[index[(0, x)]] for x in range(2, n)]
+    if hub != sorted(hub):
+        return False
+    rivals = [w[index[(1, x)]] for x in range(2, n)]
+    return hub[0] < min(rivals)
+
+
+def generated_weightings(n: int) -> list[tuple[int, ...]]:
+    """Every order the reduced search folds for K_n, as a weight vector."""
+    q = n * (n - 1) // 2
+    out = []
+    for slots in combinations(range(q - 1), 2 * n - 4):
+        for order in extremal._canonical_orders(n, q, slots):
+            w = [1] + [0] * (q - 1)
+            for weight, j in enumerate(order, 2):
+                w[j] = weight
+            out.append(tuple(w))
+    return out
 
 
 class TestMinOverWeightingsExhaustive:
@@ -87,6 +117,18 @@ class TestMinOverWeightingsExhaustive:
         with pytest.raises(ExhaustiveTooLargeError):
             min_over_weightings(complete_structure(6))
 
+    def test_jobs_below_one_are_rejected(self):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs"):
+                min_over_weightings(complete_structure(3), jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, tasks, size",
+        [(1, 8, 10, 1), (4, 2, 10, 2), (8, 16, 3, 3), (10**6, 2, 84, 2), (5, 1, 1, 1)],
+    )
+    def test_pool_size_is_capped_by_cpus_and_tasks(self, jobs, cpus, tasks, size):
+        assert extremal._pool_size(jobs, cpus, tasks) == size
+
     def test_jobs_do_not_change_the_report(self):
         serial = min_over_weightings(complete_structure(4), jobs=1)
         for jobs in (2, 3, 5):
@@ -96,6 +138,31 @@ class TestMinOverWeightingsExhaustive:
                 serial.witness,
                 serial.examined,
             )
+
+
+@st.composite
+def small_structures(draw):
+    """Structures with n <= 5 and q <= 6: complete, sparse, disconnected or
+    edgeless."""
+    n = draw(st.integers(1, 5))
+    keys = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(keys), unique=True, max_size=6)) if keys else []
+    return Structure(n=n, edges=tuple(sorted(edges)))
+
+
+class TestEngineAgainstBruteForceScan:
+    @settings(max_examples=100, deadline=None)
+    @given(small_structures())
+    def test_exhaustive_minimum_and_witness(self, s):
+        best = None
+        for perm in permutations(range(1, s.q + 1)):
+            g = WeightedGraph(n=s.n, edges=dict(zip(s.edges, perm)), mode=Mode.STRICT)
+            candidate = (brute_force_longest(g).optimum, perm)
+            if best is None or candidate < best:
+                best = candidate
+        report = min_over_weightings(s)
+        assert (report.minimum, report.witness) == best
+        assert report.examined == math.factorial(s.q)
 
 
 class TestSymmetryReduction:
@@ -131,15 +198,6 @@ class TestSymmetryReduction:
         q = len(keys)
         index = {k: i for i, k in enumerate(keys)}
 
-        def canonical(w):
-            if w[index[(0, 1)]] != 1:
-                return False
-            hub = [w[index[(0, x)]] for x in range(2, n)]
-            if hub != sorted(hub):
-                return False
-            rivals = [w[index[(1, x)]] for x in range(2, n)]
-            return hub[0] < min(rivals)
-
         def orbit(w):
             out = set()
             for sigma in permutations(range(n)):
@@ -150,7 +208,7 @@ class TestSymmetryReduction:
                 out.add(tuple(img))
             return out
 
-        survivors = [w for w in permutations(range(1, q + 1)) if canonical(w)]
+        survivors = [w for w in permutations(range(1, q + 1)) if canonical(n, w)]
         assert len(survivors) == 30
         covered = set()
         for w in survivors:
@@ -159,6 +217,22 @@ class TestSymmetryReduction:
             assert not (orb & covered)
             covered |= orb
         assert len(covered) == 720
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_generated_orders_are_exactly_the_canonical_weightings(self, n):
+        q = n * (n - 1) // 2
+        generated = generated_weightings(n)
+        assert len(generated) == len(set(generated)) == math.factorial(q) // math.factorial(n)
+        # Weight 1 on (v1,v2) is part of the definition, so only the tails vary.
+        survivors = {w for w in ((1, *t) for t in permutations(range(2, q + 1))) if canonical(n, w)}
+        assert set(generated) == survivors
+
+    def test_jobs_do_not_change_the_reduced_report(self):
+        reports = [
+            min_over_weightings(complete_structure(5), reduce_symmetry=True, jobs=jobs)
+            for jobs in (1, 2, 3)
+        ]
+        assert len({(r.minimum, r.witness, r.examined) for r in reports}) == 1
 
 
 class TestSampled:
@@ -191,6 +265,39 @@ class TestSampled:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             min_over_weightings(complete_structure(3), mode=Sampled(count=0, seed=0))
+
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        mode = Sampled(count=300, seed=4)
+        default = min_over_weightings(complete_structure(5), mode=mode)
+        monkeypatch.setattr(extremal, "SAMPLE_CHUNK", 7)
+        chunked = min_over_weightings(complete_structure(5), mode=mode)
+        assert (default.minimum, default.witness, default.examined) == (
+            chunked.minimum,
+            chunked.witness,
+            chunked.examined,
+        )
+
+    def test_a_serial_run_draws_one_chunk_at_a_time(self, monkeypatch):
+        drawn = []
+        scanned = []
+        sampled_tasks, scan = extremal._sampled_tasks, extremal._scan
+
+        def counting_tasks(*args):
+            for task in sampled_tasks(*args):
+                drawn.append(len(task[4][0]))
+                yield task
+
+        def counting_scan(task):
+            scanned.append(len(drawn))
+            return scan(task)
+
+        monkeypatch.setattr(extremal, "SAMPLE_CHUNK", 10)
+        monkeypatch.setattr(extremal, "_sampled_tasks", counting_tasks)
+        monkeypatch.setattr(extremal, "_scan", counting_scan)
+        report = min_over_weightings(complete_structure(4), mode=Sampled(count=95, seed=1))
+        assert report.examined == 95
+        assert drawn == [10] * 9 + [5]
+        assert scanned == list(range(1, 11))  # chunk k is drawn just before scan k
 
     def test_works_beyond_the_exhaustive_guard(self):
         report = min_over_weightings(complete_structure(6), mode=Sampled(count=20, seed=0))

@@ -8,11 +8,15 @@ lexicographically smallest weight vector, in canonical edge order, that
 achieves the minimum, which makes the result independent of how the
 search is split into tasks and across workers.
 
-One engine, _scan, folds processing orders rather than weight vectors (the
-two are inverse permutations of each other) because the label update
-consumes edges in ascending weight order anyway.  The modes only build its
-tasks: exhaustive mode one per edge of weight 1, over all orders of the
-rest; sampled mode chunks of orders drawn lazily from one seeded stream.
+The search folds processing orders, the inverses of weight vectors, since
+the label update takes edges in ascending weight order.  Exhaustive and
+reduced runs go depth-first through _search: a task folds a start prefix
+once, then places one available edge per level, changing only the two
+labels it touches and restoring them on the way back, so orders share the
+fold of their common prefix.  Placing an edge makes the edges its unlock
+table entry lists available; exhaustive mode has one task per edge of
+weight 1 and no unlocks.  Sampled mode streams: _scan folds each order of
+a chunk drawn lazily from one seeded stream from zero labels.
 
 Symmetry reduction (complete graphs, n >= 3): relabeling vertices never
 changes trail lengths, and no nontrivial relabeling fixes a
@@ -24,8 +28,9 @@ remaining vertices by their weight to v1:
 
     w(v1,v2) = 1,   w(v1,v3) < w(v1,v4) < ... ,   w(v1,v3) < min_x w(v2,x)
 
-One task per choice of the weights on the hub edges (v1,x) and the rivals
-(v2,x) yields exactly its canonical orders: q!/n! in all, none filtered.
+The canonical orders are exactly those that respect one unlock table: hub
+(v1,x) unlocks (v1,x+1), and (v1,v3) also unlocks every rival (v2,x).
+One task per second edge yields q!/n! orders in all, none filtered.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import ExhaustiveTooLargeError, InvalidStructureError
 from .graphs import EdgeKey, WeightedGraph
@@ -121,24 +126,67 @@ class BoundCheck:
     labels: list[int]
 
 
-def _scan(task) -> tuple[int, tuple[int, ...], int]:
-    """Evaluate one task (n, endpoints, start, orders_fn, orders_args): the
-    edges indexed by `start` take the weights 1..len(start) and are folded
-    once, then each order of the other edge indices from orders_fn(*orders_args)
-    is folded on a copy.  Returns (min value, lex-min weight vector achieving
-    it, orders examined); orders_fn must yield at least one order.
-    """
-    n, endpoints, start, orders_fn, orders_args = task
+def _search(task) -> tuple[int, tuple[int, ...], int]:
+    """Evaluate one task (n, endpoints, start, avail, unlocks) depth-first:
+    the edges in `start` take the weights 1..len(start), then every order
+    of the rest that places only available edges is folded; placing edge j
+    makes unlocks[j] available.  Returns (min value, lex-min weight vector
+    achieving it, orders examined)."""
+    n, endpoints, start, avail, unlocks = task
     q = len(endpoints)
-    base = _fold(n, [endpoints[j] for j in start])[0]
-    w = [0] * q  # weight buffer: start written once, each order on demand
+    if len(start) >= q - 1:  # at most one edge left: one order
+        return _scan((n, endpoints, [start + avail]))
+    labels = _fold(n, [endpoints[j] for j in start])[0]
+    w = [0] * q  # weight buffer: start written once, each level on the way down
     for rank, j in enumerate(start, 1):
         w[j] = rank
-    best = q + 1
+    best, best_w, examined = q + 1, None, 0
+
+    def place(avail, rank, top):
+        """Place each available edge at `rank`; two or more edges are left."""
+        nonlocal best, best_w, examined
+        for i, j in enumerate(avail):
+            u, v = endpoints[j]
+            lu, lv = labels[u], labels[v]
+            if lv > lu:
+                t = labels[u] = lv + 1
+            elif lu > lv:
+                t = labels[v] = lu + 1
+            else:
+                t = labels[u] = labels[v] = lu + 1
+            if t < top:
+                t = top
+            w[j] = rank
+            rest = avail[:i] + avail[i + 1 :] + unlocks[j]
+            if rank + 1 < q:
+                place(rest, rank + 1, t)
+            else:  # fold the last edge in place
+                a, b = endpoints[rest[0]]
+                la, lb = labels[a], labels[b]
+                value = lb + 1 if lb >= la else la + 1
+                if value < t:
+                    value = t
+                examined += 1
+                if value <= best:
+                    w[rest[0]] = q
+                    wt = tuple(w)
+                    if value < best or wt < best_w:
+                        best, best_w = value, wt
+            labels[u], labels[v] = lu, lv
+
+    place(avail, len(start) + 1, max(labels))
+    return best, best_w, examined
+
+
+def _scan(task) -> tuple[int, tuple[int, ...], int]:
+    """Evaluate one task (n, endpoints, orders): each order is folded from
+    zero labels.  Returns what _search returns; orders must not be empty."""
+    n, endpoints, orders = task
+    w = [0] * len(endpoints)
+    best = len(endpoints) + 1
     best_w: tuple[int, ...] | None = None
-    examined = 0
-    for order in orders_fn(*orders_args):
-        labels = base[:]
+    for order in orders:
+        labels = [0] * n
         for j in order:
             u, v = endpoints[j]
             lu = labels[u]
@@ -148,48 +196,51 @@ def _scan(task) -> tuple[int, tuple[int, ...], int]:
             if lu >= lv:
                 labels[v] = lu + 1
         value = max(labels)
-        examined += 1
         if value <= best:
-            for rank, j in enumerate(order, len(start) + 1):
+            for rank, j in enumerate(order, 1):
                 w[j] = rank
             wt = tuple(w)
             if value < best or wt < best_w:
-                best = value
-                best_w = wt
-    return best, best_w, examined
+                best, best_w = value, wt
+    return best, best_w, len(orders)
 
 
-def _canonical_orders(n: int, q: int, slots: tuple[int, ...]):
-    """The canonical orders of K_n after (v1,v2) with the hub and rival
-    edges at `slots` (slot s has weight s + 2): (v1,v3) at the first slot."""
-    order = [0] * (q - 1)
-    order[slots[0]] = 1
-    others = [s for s in range(q - 1) if s not in slots]
-    for hub_slots in combinations(slots[1:], n - 3):
-        for s, j in zip(hub_slots, range(2, n - 1)):
-            order[s] = j
-        rival_slots = [s for s in slots[1:] if s not in hub_slots]
-        for rivals in permutations(range(n - 1, 2 * n - 3)):
-            for s, j in zip(rival_slots, rivals):
-                order[s] = j
-            for tail in permutations(range(2 * n - 3, q)):
-                for s, j in zip(others, tail):
-                    order[s] = j
-                yield tuple(order)
+def _reduce_tasks(n: int, endpoints):
+    """The --reduce tasks of K_n, one per second edge after (v1,v2), over
+    the unlock table that admits exactly the canonical orders."""
+    q = len(endpoints)
+    unlocks = [()] * q
+    for h in range(1, n - 2):  # hub (v1,v(h+2)) is edge h
+        unlocks[h] = (h + 1,)
+    unlocks[1] += tuple(range(n - 1, 2 * n - 3))  # the rivals (v2,x)
+    first = (1, *range(2 * n - 3, q))
+    return [
+        (n, endpoints, (0, j), first[:i] + first[i + 1 :] + unlocks[j], unlocks)
+        for i, j in enumerate(first)
+    ]
 
 
 def _sampled_tasks(n: int, endpoints, mode: Sampled, chunk: int):
     """Chunks of sampled orders, built lazily: order i inverts the i-th
-    Fisher-Yates shuffle of one seeded stream, whatever the chunk size."""
-    rng = random.Random(mode.seed)
-    ranks = list(range(len(endpoints)))
+    Fisher-Yates shuffle of one seeded stream, whatever the chunk size.
+    The draws are random.shuffle's own, written out."""
+    getrandbits = random.Random(mode.seed).getrandbits
+    q = len(endpoints)
+    steps = [(i, (i + 1).bit_length()) for i in range(q - 1, 0, -1)]
     for lo in range(0, mode.count, chunk):
         orders = []
         for _ in range(min(chunk, mode.count - lo)):
-            w = ranks.copy()
-            rng.shuffle(w)
-            orders.append(sorted(ranks, key=w.__getitem__))
-        yield (n, endpoints, (), iter, (orders,))
+            w = list(range(q))
+            for i, k in steps:
+                r = getrandbits(k)
+                while r > i:
+                    r = getrandbits(k)
+                w[i], w[r] = w[r], w[i]
+            order = [0] * q
+            for j in range(q):
+                order[w[j]] = j
+            orders.append(order)
+        yield (n, endpoints, orders)
 
 
 def _merge(results) -> tuple[int, tuple[int, ...], int]:
@@ -229,21 +280,21 @@ def min_over_weightings(
             )
         if reduce_symmetry and structure.is_complete and n >= 3:
             reduction_factor = math.factorial(n)
-            slot_sets = combinations(range(q - 1), 2 * n - 4)
-            tasks = [(n, endpoints, (0,), _canonical_orders, (n, q, s)) for s in slot_sets]
+            tasks = _reduce_tasks(n, endpoints)
         else:  # one task per edge of weight 1; no edges, one empty order
+            unlocks = ((),) * q
             tasks = [
-                (n, endpoints, (first,), permutations, ([j for j in range(q) if j != first],))
-                for first in range(q)
-            ] or [(n, endpoints, (), permutations, ((),))]
-        n_tasks = len(tasks)
+                (n, endpoints, (j,), tuple(range(j)) + tuple(range(j + 1, q)), unlocks)
+                for j in range(q)
+            ] or [(n, endpoints, (), (), unlocks)]
+        engine, n_tasks = _search, len(tasks)
     else:
         if mode.count < 1:
             raise ValueError(f"sample count must be >= 1, got {mode.count}")
         chunk = max(1, min(SAMPLE_CHUNK, mode.count // (4 * jobs)))
         tasks = _sampled_tasks(n, endpoints, mode, chunk)
-        n_tasks = -(-mode.count // chunk)
-    best, best_w, examined = _merge(_run_tasks(tasks, n_tasks, jobs))
+        engine, n_tasks = _scan, -(-mode.count // chunk)
+    best, best_w, examined = _merge(_run_tasks(engine, tasks, n_tasks, jobs))
 
     return ExtremalReport(
         structure=structure,
@@ -261,15 +312,18 @@ def _pool_size(jobs: int, cpus: int, tasks: int) -> int:
     return min(jobs, cpus, tasks)
 
 
-def _run_tasks(tasks, n_tasks: int, jobs: int):
-    """_scan over each task.  A lazy task stream is read as tasks are handed
-    out, so it is never held whole, here or with a pool."""
+def _run_tasks(engine, tasks, n_tasks: int, jobs: int):
+    """engine over each task.  A lazy task stream is read as tasks are
+    handed out, so it is never held whole, here or with a pool.  A pool
+    forks where it can; engines and tasks are module-level and picklable,
+    so the default start method works too."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = _pool_size(jobs, cpus or 1, n_tasks)
     if size == 1:
-        return list(map(_scan, tasks))
-    with multiprocessing.get_context("fork").Pool(processes=size) as pool:
-        return list(pool.imap(_scan, tasks))
+        return list(map(engine, tasks))
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with multiprocessing.get_context(method).Pool(processes=size) as pool:
+        return list(pool.imap(engine, tasks))
 
 
 def check_lower_bound(g: WeightedGraph) -> BoundCheck:

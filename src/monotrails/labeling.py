@@ -17,11 +17,12 @@ incumbent witness so results are deterministic.
 
 run_labeling_sorted, longest_ordered_trail, label_state_at, get_label and
 final_label_lengths share one private fold, _fold, over the edges sorted
-once; the extremal search writes out a labels-only copy of the update in
-its own scan loop, where millions of orders are folded.  _fold keeps each
-witness as a shared-tail cons cell, ((u, v), rest) or None for the empty
-trail, so an improvement costs O(1) instead of a copy of the trail; a cell
-is unrolled into a list only when a caller asks for that vertex's witness.
+once.  The extremal search, which folds millions of orders, writes out
+labels-only copies of the update: per level of its depth-first walk in
+extremal._search, and per sampled order in extremal._scan.  _fold keeps
+each witness as a shared-tail cons cell, ((u, v), rest) or None for the
+empty trail, so an improvement costs O(1) instead of a copy of the trail;
+a cell is unrolled into a list only when a caller asks for it.
 propagate_step keeps the step written out on plain lists: it is the
 single-step reference the fold is tested against.
 

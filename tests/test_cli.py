@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: outputs, exit codes, schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import monotrails
 from monotrails import parse_edge_list
 from monotrails.cli import main
 
@@ -68,6 +72,26 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc:
             main(["compute", str(k4_file), "--order", "sideways"])
         assert exc.value.code == 2
+
+    def test_out_of_memory_exits_2_without_a_traceback(self, tmp_path):
+        # The header's vertex count alone asks for ~3 GB of labels; the run
+        # gets a 1 GiB address space, in a child so the suite keeps its own.
+        pytest.importorskip("resource")
+        huge = tmp_path / "huge.txt"
+        huge.write_text("p 400000000 1\ne 1 2 1\n")
+        limit = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from monotrails.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(monotrails.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", limit, "compute", str(huge)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 2
+        assert run.stderr == "error: out of memory\n"
+        assert run.stdout == ""
 
 
 class TestOracle:

@@ -7,6 +7,8 @@ extremal module uses internally.
 """
 
 import math
+import multiprocessing
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -59,14 +61,25 @@ def canonical(n: int, w) -> bool:
     return hub[0] < min(rivals)
 
 
+def admitted_orders(start, avail, unlocks):
+    """Every order a search task (start, avail, unlocks) admits, by a plain
+    walk: any available edge may come next, and placing edge j makes the
+    edges in unlocks[j] available."""
+    if not avail:
+        yield start
+    for i, j in enumerate(avail):
+        rest = tuple(avail[:i]) + tuple(avail[i + 1 :]) + tuple(unlocks[j])
+        yield from admitted_orders(start + (j,), rest, unlocks)
+
+
 def generated_weightings(n: int) -> list[tuple[int, ...]]:
     """Every order the reduced search folds for K_n, as a weight vector."""
     q = n * (n - 1) // 2
     out = []
-    for slots in combinations(range(q - 1), 2 * n - 4):
-        for order in extremal._canonical_orders(n, q, slots):
-            w = [1] + [0] * (q - 1)
-            for weight, j in enumerate(order, 2):
+    for _, _, start, avail, unlocks in extremal._reduce_tasks(n, complete_structure(n).edges):
+        for order in admitted_orders(tuple(start), avail, unlocks):
+            w = [0] * q
+            for weight, j in enumerate(order, 1):
                 w[j] = weight
             out.append(tuple(w))
     return out
@@ -138,6 +151,30 @@ class TestMinOverWeightingsExhaustive:
                 serial.witness,
                 serial.examined,
             )
+
+    @pytest.mark.parametrize("mode", [Exhaustive(), Sampled(count=64, seed=2)])
+    def test_a_pool_without_fork_gives_the_same_report(self, monkeypatch, mode):
+        # Where fork is missing the default context is used; spawn stands in
+        # for it here, so tasks and engines really cross a pickle boundary.
+        real_get_context = multiprocessing.get_context
+        asked = []
+
+        def get_context(method=None):
+            asked.append(method)
+            return real_get_context(method or "spawn")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        monkeypatch.setattr(extremal, "_pool_size", lambda jobs, cpus, tasks: min(jobs, tasks))
+        serial = min_over_weightings(complete_structure(4), mode=mode, jobs=1)
+        assert asked == []
+        pooled = min_over_weightings(complete_structure(4), mode=mode, jobs=2)
+        assert asked == [None]
+        assert (pooled.minimum, pooled.witness, pooled.examined) == (
+            serial.minimum,
+            serial.witness,
+            serial.examined,
+        )
 
 
 @st.composite
@@ -284,7 +321,7 @@ class TestSampled:
 
         def counting_tasks(*args):
             for task in sampled_tasks(*args):
-                drawn.append(len(task[4][0]))
+                drawn.append(len(task[2]))
                 yield task
 
         def counting_scan(task):
@@ -298,6 +335,19 @@ class TestSampled:
         assert report.examined == 95
         assert drawn == [10] * 9 + [5]
         assert scanned == list(range(1, 11))  # chunk k is drawn just before scan k
+
+    @pytest.mark.parametrize("seed", [0, 3, 2024])
+    @pytest.mark.parametrize("q", [1, 2, 3, 8, 21])
+    def test_sampled_orders_invert_random_shuffle(self, q, seed):
+        rng = random.Random(seed)
+        expected = []
+        for _ in range(40):
+            w = list(range(q))
+            rng.shuffle(w)
+            expected.append(sorted(range(q), key=w.__getitem__))
+        path = tuple((i, i + 1) for i in range(q))
+        tasks = extremal._sampled_tasks(q + 1, path, Sampled(count=40, seed=seed), 16)
+        assert [list(order) for task in tasks for order in task[2]] == expected
 
     def test_works_beyond_the_exhaustive_guard(self):
         report = min_over_weightings(complete_structure(6), mode=Sampled(count=20, seed=0))

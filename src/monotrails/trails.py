@@ -118,14 +118,18 @@ def trail_json(g: WeightedGraph, trail: Trail, start: int | None = None) -> dict
 
     For an empty trail the start vertex must be supplied explicitly.
     Non-integer weights are emitted as floats (display only; the edge-list
-    format is the exact round-trip carrier).
+    format is the exact round-trip carrier); one beyond float range raises
+    ValueError.
     """
     if trail:
         start = trail[0][0]
     elif start is None:
         raise ValueError("empty trail needs an explicit start vertex")
     vertices = [start + 1] + [head + 1 for (_, head) in trail]
-    weights = [w if isinstance(w, int) else float(w) for w in trail_weights(g, trail)]
+    try:
+        weights = [w if isinstance(w, int) else float(w) for w in trail_weights(g, trail)]
+    except OverflowError:
+        raise ValueError("a trail weight is beyond float range and has no JSON number") from None
     return {
         "start": start + 1,
         "vertices": vertices,

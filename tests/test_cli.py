@@ -11,6 +11,7 @@ import pytest
 
 import monotrails
 from monotrails import parse_edge_list
+from monotrails import cli
 from monotrails.cli import main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "docs"
@@ -20,6 +21,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_limited(*argv):
+    """Run the CLI in a child process limited to a 1 GiB address space, so
+    the suite keeps its own."""
+    pytest.importorskip("resource")
+    limit = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from monotrails.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(monotrails.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", limit, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def load_schema(name):
@@ -73,25 +90,32 @@ class TestCompute:
             main(["compute", str(k4_file), "--order", "sideways"])
         assert exc.value.code == 2
 
-    def test_out_of_memory_exits_2_without_a_traceback(self, tmp_path):
-        # The header's vertex count alone asks for ~3 GB of labels; the run
-        # gets a 1 GiB address space, in a child so the suite keeps its own.
-        pytest.importorskip("resource")
+    def test_out_of_memory_exits_2_without_a_traceback(self, capsys, monkeypatch, k4_file):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "compute", exhausted)
+        code, out, err = run_cli(capsys, "compute", str(k4_file))
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_vertex_count_above_the_limit_exits_2_before_allocating(self, tmp_path):
+        # Labels for the header's n would take ~3 GB; the run gets a 1 GiB
+        # address space, so it must refuse the header before the fold.
         huge = tmp_path / "huge.txt"
         huge.write_text("p 400000000 1\ne 1 2 1\n")
-        limit = (
-            "import resource, sys; "
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            "from monotrails.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(monotrails.__file__).parents[1]))
-        run = subprocess.run(
-            [sys.executable, "-c", limit, "compute", str(huge)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        run = run_limited("compute", str(huge))
         assert run.returncode == 2
-        assert run.stderr == "error: out of memory\n"
+        assert run.stderr == "error: line 1: vertex count 400000000 exceeds the limit of 10000000\n"
         assert run.stdout == ""
+
+    def test_json_weight_beyond_float_range_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "wide.txt"
+        f.write_text("p 3 2\ne 1 2 1" + "0" * 400 + ".5\ne 2 3 2.5\n")
+        code, out, err = run_cli(capsys, "compute", str(f), "--json")
+        assert code == 2 and out == ""
+        assert err == "error: a trail weight is beyond float range and has no JSON number\n"
+        code, out, _ = run_cli(capsys, "compute", str(f), "--trail")
+        assert code == 0 and "optimum: 2" in out
 
 
 class TestOracle:
@@ -222,6 +246,13 @@ class TestGen:
         assert code == 0
         g = parse_edge_list(out)
         assert g.n == 4 and g.q == 6
+
+    def test_random_pairs_need_no_pair_list(self):
+        # K_200000 has ~2e10 pairs; listing them would exhaust 1 GiB.
+        run = run_limited("gen", "--random", "200000", "10", "--seed", "4")
+        assert run.returncode == 0 and run.stderr == ""
+        g = parse_edge_list(run.stdout)
+        assert g.n == 200000 and g.q == 10
 
     def test_stdout_matches_file_output(self, capsys, tmp_path):
         _, stdout_text, _ = run_cli(capsys, "gen", "--random", "5", "4", "--seed", "8")

@@ -1,6 +1,8 @@
 """Graph construction, validation, generators, and the edge-list format."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,19 @@ class TestRandomGraph:
 
     def test_different_seeds_usually_differ(self):
         assert any(random_graph(6, 9, 0) != random_graph(6, 9, s) for s in range(1, 5))
+
+    def test_same_graph_as_sampling_the_pair_list(self):
+        for n in range(1, 14):
+            possible = list(combinations(range(n), 2))
+            for m in range(len(possible) + 1):
+                for seed in range(5):
+                    rng = random.Random(seed)
+                    chosen = sorted(rng.sample(possible, m))
+                    weights = list(range(1, m + 1))
+                    rng.shuffle(weights)
+                    expected = dict(zip(chosen, weights))
+                    g = random_graph(n, m, seed)
+                    assert list(g.edges.items()) == list(expected.items())
 
 
 class TestRankedEdges:

@@ -18,7 +18,7 @@ split, and each of the endpoint and weight columns is converted by one
 map.  Any other file, and any column that fails a check, goes to the line
 loop, which is the only code that names a bad line or lists parse-time
 violations.  Both paths reject a header vertex count above MAX_VERTICES
-before anything is allocated by it.
+before anything is allocated by it; random_graph rejects such an n too.
 """
 
 from __future__ import annotations
@@ -112,10 +112,11 @@ def add_edge(g: WeightedGraph, u: int, v: int, w: Weight) -> WeightedGraph:
     return WeightedGraph(n=g.n, edges=edges, mode=g.mode)
 
 
-# Below this many edges the line loop of the parser, the per-edge validation
-# loop and one sort cost less than the bulk paths, counting their fixed cost
-# per call (crossovers measured on a 2-vCPU VM, Python 3.11: about 20 lines
-# for the parse, 300 edges for validate, 1,500 for ranked_edges).
+# The bulk paths of the parser and of validate start at this many lines or
+# edges.  Their fixed cost per call is higher than the loops' and showed on
+# the benchmark's check-small graphs (at most 36 edges); their per-edge
+# saving shows on its trail-large files (at least 50,000 edges).  The value
+# only has to sit between the two; it is not a tuned crossover.
 _BULK_MIN_EDGES = 1024
 
 
@@ -194,11 +195,10 @@ def _distinct_positive(weights) -> bool:
     denominator) -- an int w is (w, 1) -- and no Fraction is hashed.
     Weights of any other type answer False and go to the per-edge loop.
     """
-    types = set(map(type, weights))
-    if types <= {int}:
-        return not weights or (min(weights) > 0 and len(set(weights)) == len(weights))
-    if not types <= {int, Fraction}:
+    if not set(map(type, weights)) <= {int, Fraction}:
         return False
+    if not weights:
+        return True
     nums = list(map(attrgetter("numerator"), weights))
     dens = map(attrgetter("denominator"), weights)
     return min(nums) > 0 and len(set(zip(nums, dens))) == len(weights)
@@ -211,25 +211,14 @@ def is_valid(g: WeightedGraph) -> bool:
 def ranked_edges(g: WeightedGraph) -> list[EdgeKey]:
     """Edge keys in ascending weight order; rank i edge is ranked_edges[i-1].
 
-    In strict mode rank equals weight: from _BULK_MIN_EDGES edges on, when
-    the weights are exactly the ints 1..q, each edge goes straight to index
-    w-1, with no sort.  Relaxed weights sort by (float(w), w): a correctly
-    rounded float never reverses an order, so weights whose floats differ
-    are ordered by one float comparison and only weights whose floats tie
-    are compared exactly.  A weight too large for a float falls back to the
-    exact key.  Any other graph, invalid ones included, is sorted by the
-    weights themselves, and every path gives that order.
+    In strict mode rank equals weight, and the integer weights are the sort
+    key.  Relaxed weights sort by (float(w), w): a correctly rounded float
+    never reverses an order, so weights whose floats differ are ordered by
+    one float comparison and only weights whose floats tie are compared
+    exactly.  A weight too large for a float falls back to the exact key.
+    The order is the same as sorting by the weights themselves.
     """
     weights = g.edges
-    if (
-        len(weights) >= _BULK_MIN_EDGES
-        and g.mode is Mode.STRICT
-        and _are_ranks(weights.values())
-    ):
-        ranked: list = [None] * len(weights)
-        for edge, w in weights.items():
-            ranked[w - 1] = edge
-        return ranked
     if g.mode is Mode.RELAXED:
         try:
             return sorted(weights, key=lambda e: (float(weights[e]), weights[e]))
@@ -270,6 +259,10 @@ def random_graph(n: int, m: int, seed: int) -> WeightedGraph:
     graph (Mersenne Twister via random.Random, platform-independent)."""
     if n < 1:
         raise InvalidVertexCountError(f"vertex count must be >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise InvalidVertexCountError(
+            f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
     total = n * (n - 1) // 2
     if m > total:
         raise TooManyEdgesError(f"{m} edges requested, K_{n} has only {total}")
@@ -301,7 +294,7 @@ def _pair_at(n: int, total: int, i: int) -> EdgeKey:
 #
 # Unknown line types are a parse error naming the line.
 
-MAX_VERTICES = 10**7  # largest header n; the label fold allocates O(n) up front
+MAX_VERTICES = 10**7  # largest n of a header or random_graph; the label fold allocates O(n)
 _COLUMN_CHUNK = 4096  # body lines the column path converts at a time
 _PRED = (-1).__add__  # 1-based vertex number to 0-based index
 

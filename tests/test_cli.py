@@ -254,6 +254,13 @@ class TestGen:
         g = parse_edge_list(run.stdout)
         assert g.n == 200000 and g.q == 10
 
+    def test_random_vertex_count_above_the_limit_exits_2(self, capsys):
+        # Refused before any pair is drawn, so no child process is needed; a
+        # written file would be refused by compute at its header anyway.
+        code, out, err = run_cli(capsys, "gen", "--random", "10000001", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: vertex count 10000001 exceeds the limit of 10000000\n"
+
     def test_stdout_matches_file_output(self, capsys, tmp_path):
         _, stdout_text, _ = run_cli(capsys, "gen", "--random", "5", "4", "--seed", "8")
         out_path = tmp_path / "g.txt"

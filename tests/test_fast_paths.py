@@ -2,9 +2,8 @@
 
 parse_edge_list reads a well-formed body by column and falls back to the
 line loop; validate decides the valid case in bulk and falls back to the
-per-edge loop; ranked_edges places a strict 1..q weighting without a sort.
-Each must give exactly what the loop gives: the same graph, or the same
-exception with the same line, message and violation list.
+per-edge loop.  Each must give exactly what the loop gives: the same graph,
+or the same exception with the same line, message and violation list.
 """
 
 from contextlib import contextmanager
@@ -20,7 +19,6 @@ from monotrails import (
     graphs,
     parse_edge_list,
     random_graph,
-    ranked_edges,
     render_edge_list,
 )
 from monotrails.errors import EdgeListParseError, GraphValidationError
@@ -254,7 +252,7 @@ class TestParseDifferential:
         assert g.n == graphs.MAX_VERTICES
 
 
-# --- validate and ranked_edges ----------------------------------------------
+# --- validate ----------------------------------------------------------------
 
 
 @st.composite
@@ -278,19 +276,6 @@ def raw_graphs(draw, max_n=6):
     weights = draw(st.lists(weight, min_size=len(keys), max_size=len(keys)))
     mode = draw(st.sampled_from([Mode.STRICT, Mode.RELAXED]))
     return WeightedGraph(n=n, edges=dict(zip(keys, weights)), mode=mode)
-
-
-@st.composite
-def strict_int_weightings(draw, max_n=7):
-    """Strict-mode graphs whose int weights are a permutation of 1..q or
-    anything else: 0, negative, gaps, repeats, above q."""
-    g = draw(strict_graphs(max_n=max_n))
-    q = g.q
-    if draw(st.booleans()):
-        weights = draw(st.permutations(range(1, q + 1)))
-    else:
-        weights = draw(st.lists(st.integers(-2, q + 3), min_size=q, max_size=q))
-    return WeightedGraph(n=g.n, edges=dict(zip(g.edges, weights)), mode=Mode.STRICT)
 
 
 HAND_BUILT_INVALID = [
@@ -332,14 +317,3 @@ class TestBulkValidate:
             g = WeightedGraph(g.n, {k: Fraction(w, 8) for k, w in g.edges.items()}, Mode.RELAXED)
         assert graphs._bulk_valid(g) and graphs.validate(g) == []
 
-
-class TestRankWithoutSort:
-    @settings(max_examples=300)
-    @given(strict_int_weightings())
-    def test_equals_the_sort_by_weight(self, g):
-        with patched(_BULK_MIN_EDGES=0):
-            assert ranked_edges(g) == sorted(g.edges, key=g.edges.__getitem__)
-
-    def test_large_strict_graph(self):
-        g = random_graph(100, 3000, 7)
-        assert ranked_edges(g) == sorted(g.edges, key=g.edges.__getitem__)

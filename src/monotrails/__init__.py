@@ -33,8 +33,6 @@ from .graphs import (
     WeightedGraph,
     add_edge,
     complete_graph,
-    edge_key,
-    is_valid,
     new_graph,
     parse_edge_list,
     random_graph,
@@ -61,7 +59,6 @@ from .trails import (
     Trail,
     drop_prefix,
     is_ordered_trail,
-    is_ordered_walk,
     reverse_dual,
     trail_json,
 )
@@ -88,14 +85,11 @@ __all__ = [
     "complete_graph",
     "complete_structure",
     "drop_prefix",
-    "edge_key",
     "enumerate_dec_trails_from",
     "find_edge_by_rank",
     "get_label",
     "initial_state",
     "is_ordered_trail",
-    "is_ordered_walk",
-    "is_valid",
     "label_state_at",
     "longest_ordered_trail",
     "min_over_weightings",

@@ -32,7 +32,7 @@ from .labeling import Order, longest_ordered_trail, trail_report_json
 from .oracle import brute_force_longest
 from .trails import Trail, trail_weights
 
-ORACLE_MAX_N = 9  # brute force is exponential; refuse agreement checks above
+ORACLE_MAX_N = 9  # brute force is exponential: oracle refuses larger n, check skips it
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,6 +143,9 @@ def _oracle_agreement(g: WeightedGraph, optimum: int, labels: list[int]):
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.file, args.mode)
+    if g.n > ORACLE_MAX_N:
+        print(f"error: oracle needs n <= {ORACLE_MAX_N}, got n={g.n}", file=sys.stderr)
+        return 2
     report = longest_ordered_trail(g, Order.DECREASING)
     result, optimum_ok, per_vertex_ok = _oracle_agreement(g, report.optimum, report.labels)
     if args.json:

@@ -43,8 +43,8 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ExhaustiveTooLargeError, InvalidStructureError
-from .graphs import EdgeKey, WeightedGraph
+from .errors import ExhaustiveTooLargeError, InvalidStructureError, TooManyEdgesError
+from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import Order, _fold, longest_ordered_trail
 
 EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; minutes, not hours
@@ -64,12 +64,16 @@ class Structure:
 
     @property
     def is_complete(self) -> bool:
-        return set(self.edges) == set(combinations(range(self.n), 2))
+        edges, n = set(self.edges), self.n
+        return len(edges) == n * (n - 1) // 2 and edges == set(combinations(range(n), 2))
 
 
 def complete_structure(n: int) -> Structure:
     if n < 1:
         raise InvalidStructureError(f"vertex count must be >= 1, got {n}")
+    q = n * (n - 1) // 2
+    if q > MAX_EDGES:
+        raise TooManyEdgesError(f"K_{n} has {q} edges, above the limit of {MAX_EDGES}")
     return Structure(n=n, edges=tuple(combinations(range(n), 2)))
 
 
@@ -327,7 +331,8 @@ def _run_tasks(engine, tasks, n_tasks: int, jobs: int):
 
 
 def check_lower_bound(g: WeightedGraph) -> BoundCheck:
-    """Longest-trail length against both floor-form guarantees.
+    """Longest-trail length against both floor-form guarantees, as
+    longest_ordered_trail reports them.
 
     bound a = 2*floor(q/n); bound b = floor(2q/n), never smaller than a.
     Both must hold on every valid graph: the label sum grows by at least 2
@@ -336,15 +341,12 @@ def check_lower_bound(g: WeightedGraph) -> BoundCheck:
     and is reported, not raised.  An invalid graph raises InvalidGraphError.
     """
     report = longest_ordered_trail(g, Order.DECREASING)
-    p_d = report.optimum
-    bound_a = 2 * (g.q // g.n)
-    bound_b = (2 * g.q) // g.n
     return BoundCheck(
-        p_d=p_d,
-        bound_two_floor_q_over_n=bound_a,
-        bound_floor_two_q_over_n=bound_b,
-        holds_a=p_d >= bound_a,
-        holds_b=p_d >= bound_b,
+        p_d=report.optimum,
+        bound_two_floor_q_over_n=report.bound_two_floor_q_over_n,
+        bound_floor_two_q_over_n=report.bound_floor_two_q_over_n,
+        holds_a=report.optimum >= report.bound_two_floor_q_over_n,
+        holds_b=report.optimum >= report.bound_floor_two_q_over_n,
         labels=report.labels,
     )
 

@@ -18,7 +18,9 @@ split, and each of the endpoint and weight columns is converted by one
 map.  Any other file, and any column that fails a check, goes to the line
 loop, which is the only code that names a bad line or lists parse-time
 violations.  Both paths reject a header vertex count above MAX_VERTICES
-before anything is allocated by it; random_graph rejects such an n too.
+before anything is allocated by it, and a weight exponent above
+MAX_EXPONENT before its power of ten is built.  random_graph rejects an n
+above MAX_VERTICES and an edge count above MAX_EDGES before drawing.
 """
 
 from __future__ import annotations
@@ -53,13 +55,6 @@ Weight = int | Fraction  # strictly positive; 0 is reserved to mean "absent"
 class Mode(Enum):
     STRICT = "strict"
     RELAXED = "relaxed"
-
-
-def edge_key(u: int, v: int) -> EdgeKey:
-    """Canonical key for the undirected edge {u, v}; rejects self-loops."""
-    if u == v:
-        raise SelfLoopError(f"self-loop at vertex {u + 1}")
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,9 @@ def add_edge(g: WeightedGraph, u: int, v: int, w: Weight) -> WeightedGraph:
             raise VertexOutOfRangeError(
                 f"vertex index {x} out of range for n={g.n}"
             )
-    key = edge_key(u, v)
+    if u == v:
+        raise SelfLoopError(f"self-loop at vertex {u + 1}")
+    key = (u, v) if u < v else (v, u)
     if key in g.edges:
         raise DuplicateEdgeError(f"edge v{key[0] + 1}-v{key[1] + 1} already present")
     if w <= 0:
@@ -204,10 +201,6 @@ def _distinct_positive(weights) -> bool:
     return min(nums) > 0 and len(set(zip(nums, dens))) == len(weights)
 
 
-def is_valid(g: WeightedGraph) -> bool:
-    return not validate(g)
-
-
 def ranked_edges(g: WeightedGraph) -> list[EdgeKey]:
     """Edge keys in ascending weight order; rank i edge is ranked_edges[i-1].
 
@@ -266,6 +259,8 @@ def random_graph(n: int, m: int, seed: int) -> WeightedGraph:
     total = n * (n - 1) // 2
     if m > total:
         raise TooManyEdgesError(f"{m} edges requested, K_{n} has only {total}")
+    if m > MAX_EDGES:
+        raise TooManyEdgesError(f"{m} edges requested, above the limit of {MAX_EDGES}")
     rng = random.Random(seed)
     # sample() reads only the population's length and items, so sampling
     # pair indices draws what sampling the pair list itself would.
@@ -295,6 +290,8 @@ def _pair_at(n: int, total: int, i: int) -> EdgeKey:
 # Unknown line types are a parse error naming the line.
 
 MAX_VERTICES = 10**7  # largest n of a header or random_graph; the label fold allocates O(n)
+MAX_EDGES = 10**7  # most edges random_graph or extremal.complete_structure builds
+MAX_EXPONENT = 10_000  # largest |x| of a weight "<m>e<x>"; Fraction would build 10**|x|
 _COLUMN_CHUNK = 4096  # body lines the column path converts at a time
 _PRED = (-1).__add__  # 1-based vertex number to 0-based index
 
@@ -459,7 +456,13 @@ def _parse_weight(token: str, line_no: int) -> Weight:
         # Plain decimal "123.456": the value Fraction(token) gives, without its regex.
         w = Fraction(int(whole + frac), 10 ** len(frac))
         return int(w) if w.denominator == 1 else w
+    cut = max(token.rfind("e"), token.rfind("E"))
     try:
+        if cut > 0 and abs(int(token[cut + 1 :])) > MAX_EXPONENT:
+            Fraction(token[:cut] + "e0")  # ValueError unless only the exponent is at fault
+            raise EdgeListParseError(
+                line_no, f"weight {token!r} has an exponent beyond the limit of {MAX_EXPONENT}"
+            )
         w = Fraction(token)
     except ValueError:
         raise EdgeListParseError(line_no, f"cannot parse weight {token!r}") from None

@@ -164,7 +164,9 @@ def final_label_lengths(n: int, edges_in_order: Iterable[Sequence[int]]) -> list
 
 
 def longest_ordered_trail(g: WeightedGraph, kind: Order) -> TrailReport:
-    """Optimum ordered-trail length with a witness and the final labels.
+    """Optimum ordered-trail length with a witness, the final labels and
+    the two floor-form lower bounds, which are computed here and nowhere
+    else (extremal.check_lower_bound reads them from the report).
 
     The optimum is the maximum final label; the reported witness starts at
     the smallest vertex attaining it (for increasing trails, the dual of

@@ -55,34 +55,6 @@ def is_ordered_trail(g: WeightedGraph, trail: Trail, kind: Order) -> bool:
     return True
 
 
-def is_ordered_walk(g: WeightedGraph, trail: Trail, kind: Order, start: int, end: int) -> bool:
-    """Sorted-walk check: the weight sequence is strictly sorted per kind
-    (all pairs, not just adjacent ones) and the steps form a walk from
-    start to end in g.  Empty trails pass for any endpoints.
-
-    Agrees with is_ordered_trail whenever start/end are taken from the
-    trail's own first tail and last head; both styles exist so that the
-    agreement itself can be tested.
-    """
-    if not trail:
-        return True
-    if trail[0][0] != start or trail[-1][1] != end:
-        return False
-    weights = []
-    prev_head = None
-    for step in trail:
-        w = _step_weight(g, step)
-        if w is None:
-            return False
-        if prev_head is not None and step[0] != prev_head:
-            return False
-        weights.append(w)
-        prev_head = step[1]
-    if kind is Order.DECREASING:
-        return all(weights[i] > weights[j] for i in range(len(weights)) for j in range(i + 1, len(weights)))
-    return all(weights[i] < weights[j] for i in range(len(weights)) for j in range(i + 1, len(weights)))
-
-
 def reverse_dual(trail: Trail) -> Trail:
     """Reverse the step order and swap each step's endpoints.
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from monotrails import Mode, Order, WeightedGraph
+from monotrails import Mode, WeightedGraph
 
 # Denominators restricted to 2^a * 5^b so relaxed weights stay expressible
 # as exact decimals in the edge-list format.
@@ -103,5 +103,3 @@ def graph_and_arbitrary_steps(draw, max_n: int = 6):
     )
     return g, steps
 
-
-orders = st.sampled_from([Order.DECREASING, Order.INCREASING])

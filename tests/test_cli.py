@@ -118,6 +118,31 @@ class TestCompute:
         assert code == 0 and "optimum: 2" in out
 
 
+    @pytest.mark.parametrize("token", ["1e999999999", "1e-999999999"])
+    def test_weight_exponent_above_the_limit_exits_2(self, tmp_path, token):
+        # Fraction would build 10**999999999 first; the child's 60 s timeout
+        # turns such a stall into a failure.
+        f = tmp_path / "exp.txt"
+        f.write_text(f"p 3 2\ne 1 2 {token}\ne 2 3 2\n")
+        run = run_limited("compute", str(f))
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (
+            f"error: line 2: weight '{token}' has an exponent beyond the limit of 10000\n"
+        )
+
+    def test_weight_exponent_above_the_limit_on_the_column_path(self, tmp_path):
+        q = 2000
+        lines = [f"p {q + 1} {q}"] + [f"e {i} {i + 1} {i}" for i in range(1, q + 1)]
+        lines[1500] = "e 1500 1501 1e999999999"
+        f = tmp_path / "exp.txt"
+        f.write_text("\n".join(lines) + "\n")
+        run = run_limited("compute", str(f))
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (
+            "error: line 1501: weight '1e999999999' has an exponent beyond the limit of 10000\n"
+        )
+
+
 class TestOracle:
     def test_agreement(self, capsys, k4_file):
         code, out, _ = run_cli(capsys, "oracle", str(k4_file), "--json")
@@ -130,6 +155,18 @@ class TestOracle:
     def test_human_output(self, capsys, k4_file):
         code, out, _ = run_cli(capsys, "oracle", str(k4_file))
         assert code == 0 and "agreement: ok" in out
+
+    def test_vertex_count_above_the_limit_exits_2(self, capsys, tmp_path):
+        # Weights falling along a 1,500-vertex path give a 1,499-step trail,
+        # deeper than the brute force's recursion may go.
+        n = 1500
+        path = tmp_path / "path.txt"
+        edges = [f"e {i} {i + 1} {n - i}" for i in range(1, n)]
+        path.write_text("\n".join([f"p {n} {n - 1}", *edges]) + "\n")
+        for extra in ([], ["--json"]):
+            code, out, err = run_cli(capsys, "oracle", str(path), *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: oracle needs n <= 9, got n=1500\n"
 
 
 class TestCheck:
@@ -214,6 +251,23 @@ class TestExtremal:
         code, _, err = run_cli(capsys, "extremal", "--complete", "6", "--exhaustive")
         assert code == 2 and "exceeds" in err
 
+    def test_edge_count_above_the_limit_exits_2(self):
+        # K_100000 has ~5e9 edges; listing them would exhaust 1 GiB.
+        run = run_limited("extremal", "--complete", "100000", "--sample", "1")
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (
+            "error: K_100000 has 4999950000 edges, above the limit of 10000000\n"
+        )
+
+    def test_sparse_structure_on_many_vertices(self, tmp_path):
+        # Deciding completeness must not list the ~5e9 pairs of K_100000.
+        f = tmp_path / "sparse.txt"
+        f.write_text("p 100000 1\ne 1 2 1\n")
+        run = run_limited("extremal", "--file", str(f), "--sample", "1", "--json")
+        assert (run.returncode, run.stderr) == (0, "")
+        doc = json.loads(run.stdout)
+        assert doc["structure"]["complete"] is False and doc["f"] == 1
+
     def test_jobs_flag_and_env_default(self, capsys, monkeypatch):
         _, base, _ = run_cli(capsys, "extremal", "--complete", "4", "--exhaustive", "--json")
         _, with_jobs, _ = run_cli(
@@ -260,6 +314,14 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "--random", "10000001", "1")
         assert (code, out) == (2, "")
         assert err == "error: vertex count 10000001 exceeds the limit of 10000000\n"
+
+    def test_complete_edge_count_above_the_limit_exits_2(self):
+        # K_100000 has ~5e9 edges; drawing them would exhaust 1 GiB.
+        run = run_limited("gen", "--complete", "100000")
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (
+            "error: 4999950000 edges requested, above the limit of 10000000\n"
+        )
 
     def test_stdout_matches_file_output(self, capsys, tmp_path):
         _, stdout_text, _ = run_cli(capsys, "gen", "--random", "5", "4", "--seed", "8")

@@ -13,7 +13,6 @@ from monotrails import (
     WeightedGraph,
     add_edge,
     complete_graph,
-    is_valid,
     new_graph,
     parse_edge_list,
     random_graph,
@@ -53,7 +52,7 @@ class TestConstruction:
 
     def test_single_vertex_graph_is_valid(self):
         g = new_graph(1, Mode.RELAXED)
-        assert g.q == 0 and is_valid(g)
+        assert g.q == 0 and validate(g) == []
 
     def test_add_edge_canonicalizes(self):
         g = add_edge(new_graph(4), 1, 0, 1)
@@ -191,7 +190,7 @@ class TestRandomGraph:
 
     def test_requested_edge_count(self):
         g = random_graph(6, 9, 0)
-        assert g.q == 9 and is_valid(g)
+        assert g.q == 9 and validate(g) == []
 
     def test_max_edges_gives_complete(self):
         g = random_graph(4, 6, 5)
@@ -278,6 +277,20 @@ class TestParseWeight:
     @pytest.mark.parametrize("token", ["\u00b2.5", "1.2.3", "1..5", "x.5", "."])
     def test_malformed_decimals_are_parse_errors(self, token):
         with pytest.raises(EdgeListParseError):
+            _parse_weight(token, 7)
+
+    @pytest.mark.parametrize("token", ["1e10000", "1E-10_000", "5.5e+\u0661\u0660\u0660\u0660\u0660"])
+    def test_exponents_up_to_the_limit_parse(self, token):
+        _assert_parses_like_fraction(token)
+
+    @pytest.mark.parametrize("token", ["1e10001", "1E-10_001", "5.5e+\u0661\u0660\u0660\u0660\u0661"])
+    def test_exponents_above_the_limit_are_parse_errors(self, token):
+        with pytest.raises(EdgeListParseError, match="exponent beyond the limit of 10000"):
+            _parse_weight(token, 7)
+
+    @pytest.mark.parametrize("token", ["1e5e99999", "xe99999", "1.5.e99999", "e99999"])
+    def test_a_bad_mantissa_is_named_before_the_exponent(self, token):
+        with pytest.raises(EdgeListParseError, match="cannot parse weight"):
             _parse_weight(token, 7)
 
 

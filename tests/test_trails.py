@@ -8,12 +8,11 @@ from monotrails import (
     Order,
     drop_prefix,
     is_ordered_trail,
-    is_ordered_walk,
     reverse_dual,
     trail_json,
 )
 
-from strategies import graph_and_arbitrary_steps, graph_and_decreasing_trail, orders
+from strategies import graph_and_arbitrary_steps, graph_and_decreasing_trail
 
 K4_DEC_TRAIL = [(2, 1), (1, 3), (3, 2)]  # v3-v2-v4-v3, weights 5, 4, 2
 
@@ -48,39 +47,6 @@ class TestIsOrderedTrail:
     def test_non_monotone_rejected(self, k4):
         # weights 1 then 5
         assert not is_ordered_trail(k4, [(0, 1), (1, 2)], Order.DECREASING)
-
-
-class TestIsOrderedWalk:
-    def test_golden_with_matching_endpoints(self, k4):
-        assert is_ordered_walk(k4, K4_DEC_TRAIL, Order.DECREASING, 2, 2)
-
-    def test_wrong_endpoints_rejected(self, k4):
-        assert not is_ordered_walk(k4, K4_DEC_TRAIL, Order.DECREASING, 2, 3)
-        assert not is_ordered_walk(k4, K4_DEC_TRAIL, Order.DECREASING, 0, 2)
-
-    @given(st.integers(0, 3), st.integers(0, 3))
-    def test_empty_walk_accepts_any_endpoints(self, u, v):
-        from monotrails import complete_graph
-
-        g = complete_graph(4, [1, 3, 6, 5, 4, 2])
-        assert is_ordered_walk(g, [], Order.DECREASING, u, v)
-
-    @given(graph_and_arbitrary_steps(), orders)
-    def test_agrees_with_trail_predicate_on_own_endpoints(self, pair, kind):
-        g, steps = pair
-        expected = is_ordered_trail(g, steps, kind)
-        if steps:
-            got = is_ordered_walk(g, steps, kind, steps[0][0], steps[-1][1])
-        else:
-            got = is_ordered_walk(g, steps, kind, 0, 0)
-        assert got == expected
-
-    @given(graph_and_decreasing_trail())
-    def test_agrees_on_valid_decreasing_trails(self, pair):
-        g, trail = pair
-        assert is_ordered_trail(g, trail, Order.DECREASING)
-        if trail:
-            assert is_ordered_walk(g, trail, Order.DECREASING, trail[0][0], trail[-1][1])
 
 
 class TestReverseDual:

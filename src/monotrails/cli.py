@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, ValueError, MonotrailsError) as exc:
+    except (OSError, ValueError, MonotrailsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import isqrt
 from operator import attrgetter, lt
@@ -38,6 +39,7 @@ from .errors import (
     DuplicateWeightError,
     EdgeListParseError,
     GraphValidationError,
+    InvalidGraphError,
     InvalidVertexCountError,
     NonPositiveWeightError,
     NotAPermutationError,
@@ -61,9 +63,10 @@ class Mode(Enum):
 class WeightedGraph:
     """Immutable-by-convention weighted graph; mutate nothing after build.
 
-    The constructor performs no checking so that tests and file parsing can
-    materialize invalid graphs and feed them to validate().  All public
-    builders in this module only ever return valid graphs.
+    The constructor performs no checking, so tests and file parsing can
+    materialize invalid graphs.  parse_edge_list, complete_graph and
+    random_graph build valid graphs; new_graph and add_edge check each edge
+    only, so a strict graph they build may fail validate (not-surjective).
     """
 
     n: int
@@ -73,6 +76,17 @@ class WeightedGraph:
     @property
     def q(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """validate(self), computed once and kept: a graph never changes."""
+        return tuple(validate(self))
+
+    def checked(self) -> WeightedGraph:
+        """self when it is valid; else InvalidGraphError with its violations."""
+        if self.violations:
+            raise InvalidGraphError(self.violations)
+        return self
 
 
 @dataclass(frozen=True)
@@ -310,7 +324,7 @@ def parse_edge_list(text: str, mode: Mode | None = None) -> WeightedGraph:
     if mode is None:
         mode = Mode.STRICT if _are_ranks(edges.values()) else Mode.RELAXED
     g = WeightedGraph(n=n, edges=edges, mode=mode)
-    violations.extend(validate(g))
+    violations.extend(g.violations)
     if violations:
         raise GraphValidationError(violations)
     return g
@@ -452,18 +466,18 @@ def _parse_weight(token: str, line_no: int) -> Weight:
             return int(token)
         except ValueError:
             pass
-    elif token.isascii() and whole.isdigit() and frac.isdigit():
-        # Plain decimal "123.456": the value Fraction(token) gives, without its regex.
-        w = Fraction(int(whole + frac), 10 ** len(frac))
-        return int(w) if w.denominator == 1 else w
-    cut = max(token.rfind("e"), token.rfind("E"))
-    try:
-        if cut > 0 and abs(int(token[cut + 1 :])) > MAX_EXPONENT:
-            Fraction(token[:cut] + "e0")  # ValueError unless only the exponent is at fault
-            raise EdgeListParseError(
-                line_no, f"weight {token!r} has an exponent beyond the limit of {MAX_EXPONENT}"
-            )
-        w = Fraction(token)
+    try:  # every ValueError below, too many digits for int() included, is "cannot parse"
+        if dot and token.isascii() and whole.isdigit() and frac.isdigit():
+            # Plain decimal "123.456": the value Fraction(token) gives, without its regex.
+            w = Fraction(int(whole + frac), 10 ** len(frac))
+        else:
+            cut = max(token.rfind("e"), token.rfind("E"))
+            if cut > 0 and abs(int(token[cut + 1 :])) > MAX_EXPONENT:
+                Fraction(token[:cut] + "e0")  # ValueError unless only the exponent is at fault
+                raise EdgeListParseError(
+                    line_no, f"weight {token!r} has an exponent beyond the limit of {MAX_EXPONENT}"
+                )
+            w = Fraction(token)
     except ValueError:
         raise EdgeListParseError(line_no, f"cannot parse weight {token!r}") from None
     return int(w) if w.denominator == 1 else w

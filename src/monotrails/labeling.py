@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidGraphError, RankOutOfRangeError, StepExhaustedError
-from .graphs import EdgeKey, WeightedGraph, ranked_edges, validate
+from .errors import RankOutOfRangeError, StepExhaustedError
+from .graphs import EdgeKey, WeightedGraph, ranked_edges
 from .trails import Order, Trail, reverse_dual, trail_json
 
 
@@ -140,20 +140,12 @@ def get_label(g: WeightedGraph, i: int, v: int) -> int:
     return label_state_at(g, i).labels[v]
 
 
-def _valid_fold(g: WeightedGraph) -> tuple[list[int], list]:
-    """_fold over the whole graph, after validate; raises InvalidGraphError."""
-    bad = validate(g)
-    if bad:
-        raise InvalidGraphError(bad)
-    return _fold(g.n, ranked_edges(g))
-
-
 def run_labeling_sorted(g: WeightedGraph) -> LabelState:
     """Full labeling in a single pass: sort the edges by weight once, fold
     the update over them and unroll every vertex's witness.  Produces a
     state identical to q applications of propagate_step (which re-ranks at
     every step)."""
-    labels, cells = _valid_fold(g)
+    labels, cells = _fold(g.n, ranked_edges(g.checked()))
     return LabelState(step=g.q, labels=labels, witnesses=[_unroll(c) for c in cells])
 
 
@@ -172,7 +164,7 @@ def longest_ordered_trail(g: WeightedGraph, kind: Order) -> TrailReport:
     the smallest vertex attaining it (for increasing trails, the dual of
     that vertex's decreasing witness, which therefore ends there).
     """
-    labels, cells = _valid_fold(g)  # raises InvalidGraphError on bad input
+    labels, cells = _fold(g.n, ranked_edges(g.checked()))
     optimum = max(labels)
     best_v = labels.index(optimum)
     witness = _unroll(cells[best_v])

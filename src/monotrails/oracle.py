@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidGraphError
-from .graphs import WeightedGraph, validate
+from .graphs import WeightedGraph
 from .trails import Trail
 
 
@@ -79,10 +78,7 @@ def enumerate_dec_trails_from(g: WeightedGraph, v: int, cap: int = 100_000) -> T
 
 def brute_force_longest(g: WeightedGraph) -> EnumerationResult:
     """Exact longest-decreasing-trail length per start vertex and overall."""
-    bad = validate(g)
-    if bad:
-        raise InvalidGraphError(bad)
-    adj = _adjacency(g)
+    adj = _adjacency(g.checked())
     nodes = 0
 
     def longest(u: int, last_w) -> int:

@@ -15,6 +15,7 @@ from monotrails import cli
 from monotrails.cli import main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "docs"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +73,11 @@ class TestCompute:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "compute", str(tmp_path / "nope.txt"))
         assert code == 2 and "error" in err
+
+    def test_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "compute", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_invalid_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -141,6 +147,29 @@ class TestCompute:
         assert run.stderr == (
             "error: line 1501: weight '1e999999999' has an exponent beyond the limit of 10000\n"
         )
+
+
+class TestMode:
+    def test_strict_on_a_relaxed_file_exits_2(self, capsys):
+        relaxed = FIXTURES / "relaxed_decimal.txt"
+        code, out, err = run_cli(capsys, "compute", str(relaxed), "--mode", "strict")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: edge list fails validation: not-surjective")
+        assert err.count("\n") == 1
+
+    def test_relaxed_on_a_strict_file(self, capsys, k4_file):
+        code, out, _ = run_cli(capsys, "compute", str(k4_file), "--mode", "relaxed")
+        assert code == 0
+        assert "graph: n=4 q=6 (relaxed)" in out and "optimum: 3" in out
+
+    @pytest.mark.parametrize(
+        "argv", [("compute", "--json"), ("extremal", "--exhaustive", "--json", "--file")]
+    )
+    def test_relaxed_json_matches_the_default(self, capsys, k4_file, argv):
+        argv = [*argv, str(k4_file)]
+        default = run_cli(capsys, *argv)
+        assert default[0] == 0
+        assert run_cli(capsys, *argv, "--mode", "relaxed") == default
 
 
 class TestOracle:
@@ -322,6 +351,11 @@ class TestGen:
         assert run.stderr == (
             "error: 4999950000 edges requested, above the limit of 10000000\n"
         )
+
+    def test_out_path_that_is_a_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "gen", "--complete", "3", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_stdout_matches_file_output(self, capsys, tmp_path):
         _, stdout_text, _ = run_cli(capsys, "gen", "--random", "5", "4", "--seed", "8")

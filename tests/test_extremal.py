@@ -29,7 +29,7 @@ from monotrails import (
     structure_of,
 )
 from monotrails import extremal
-from monotrails.errors import ExhaustiveTooLargeError, InvalidStructureError
+from monotrails.errors import ExhaustiveTooLargeError, InvalidGraphError, InvalidStructureError
 from monotrails.graphs import Mode, WeightedGraph
 
 from strategies import strict_graphs
@@ -387,6 +387,11 @@ class TestCheckLowerBound:
     def test_edgeless(self):
         bc = check_lower_bound(new_graph(4))
         assert bc.p_d == 0 and bc.bound_two_floor_q_over_n == 0 and bc.holds_a and bc.holds_b
+
+    def test_invalid_graph_rejected(self):
+        bad = WeightedGraph(n=3, edges={(0, 1): 1, (0, 2): 1}, mode=Mode.RELAXED)
+        with pytest.raises(InvalidGraphError):
+            check_lower_bound(bad)
 
     @given(strict_graphs())
     def test_both_bounds_hold_on_every_valid_graph(self, g):

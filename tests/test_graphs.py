@@ -1,6 +1,7 @@
 """Graph construction, validation, generators, and the edge-list format."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,14 +11,19 @@ from hypothesis import strategies as st
 
 from monotrails import (
     Mode,
+    Order,
     WeightedGraph,
     add_edge,
+    brute_force_longest,
+    check_lower_bound,
     complete_graph,
+    longest_ordered_trail,
     new_graph,
     parse_edge_list,
     random_graph,
     ranked_edges,
     render_edge_list,
+    run_labeling_sorted,
     validate,
     weighted_subgraph,
 )
@@ -26,6 +32,7 @@ from monotrails.errors import (
     DuplicateWeightError,
     EdgeListParseError,
     GraphValidationError,
+    InvalidGraphError,
     InvalidVertexCountError,
     NonPositiveWeightError,
     NotAPermutationError,
@@ -116,6 +123,39 @@ class TestValidate:
     @given(any_graphs())
     def test_generated_graphs_are_always_valid(self, g):
         assert validate(g) == []
+
+
+class TestValidatedOnce:
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        """Every call of validate, through any module that binds the name."""
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return validate(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("monotrails") and vars(module).get("validate") is validate:
+                monkeypatch.setattr(module, "validate", counting)
+        return calls
+
+    def test_check_sequence_validates_once(self, validate_calls, k4_file):
+        # The calls `monotrails check` makes on one graph.
+        g = parse_edge_list(k4_file.read_text())
+        assert check_lower_bound(g).p_d == 3
+        assert brute_force_longest(g).optimum == 3
+        assert longest_ordered_trail(g, Order.DECREASING).optimum == 3
+        assert len(validate_calls) == 1 and validate_calls[0] is g
+
+    def test_invalid_graph_is_refused_on_every_use_and_validated_once(self, validate_calls):
+        bad = WeightedGraph(n=3, edges={(0, 1): 1, (0, 2): 1, (1, 4): 0}, mode=Mode.RELAXED)
+        expected = validate(bad)
+        for use in (run_labeling_sorted, brute_force_longest, check_lower_bound):
+            with pytest.raises(InvalidGraphError) as exc:
+                use(bad)
+            assert exc.value.violations == expected
+        assert len(validate_calls) == 1 and validate_calls[0] is bad
 
 
 class TestWeightedSubgraph:
@@ -331,6 +371,20 @@ class TestEdgeListFormat:
         assert g.mode is Mode.RELAXED
         with pytest.raises(GraphValidationError):
             parse_edge_list("p 2 1\ne 1 2 7\n", mode=Mode.STRICT)
+
+    @pytest.mark.parametrize("q", [1, 2000])  # the line loop, and the column path
+    @pytest.mark.parametrize("dot", ["", "."])
+    def test_weight_past_the_int_digit_limit_is_a_parse_error(self, q, dot):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() converts any number of digits here")
+        token = "1" + dot + "5" * limit
+        lines = [f"p {q + 1} {q}"] + [f"e {i} {i + 1} {i}" for i in range(1, q + 1)]
+        k = (q + 1) // 2
+        lines[k] = f"e {k} {k + 1} {token}"
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list("\n".join(lines) + "\n")
+        assert (exc.value.line_no, exc.value.reason) == (k + 1, f"cannot parse weight {token!r}")
 
     def test_unknown_line_type_names_line(self):
         with pytest.raises(EdgeListParseError) as exc:

@@ -11,16 +11,16 @@ equals its weight.  Relaxed mode allows arbitrary pairwise-distinct
 positive rationals; the trail algorithms only ever use the ascending weight
 order, so both regimes share all downstream code.
 
-The edge-list parser has two paths with one result.  A file of more than
-_BULK_MIN_EDGES lines whose every line after the header is an 'e' line is
-read by column: a few thousand lines at a time become one whitespace
-split, and each of the endpoint and weight columns is converted by one
-map.  Any other file, and any column that fails a check, goes to the line
-loop, which is the only code that names a bad line or lists parse-time
-violations.  Both paths reject a header vertex count above MAX_VERTICES
-before anything is allocated by it, and a weight exponent above
-MAX_EXPONENT before its power of ten is built.  random_graph rejects an n
-above MAX_VERTICES and an edge count above MAX_EDGES before drawing.
+The edge-list parser is one line loop, the only code that reads the
+comments and the header, names a bad line or lists parse-time violations.
+When the header's edge count equals the number of lines after it, the loop
+first hands those lines to the column reader, which converts a few
+thousand lines at a time by one whitespace split and one map per column;
+the loop reads on by itself only if that reader answers None.  The header
+rejects a vertex count above MAX_VERTICES before anything is allocated by
+it, and both readers reject a weight beyond MAX_WEIGHT_DIGITS before its
+power of ten is built.  random_graph rejects an n above MAX_VERTICES and an
+edge count above MAX_EDGES before drawing.
 """
 
 from __future__ import annotations
@@ -123,26 +123,16 @@ def add_edge(g: WeightedGraph, u: int, v: int, w: Weight) -> WeightedGraph:
     return WeightedGraph(n=g.n, edges=edges, mode=g.mode)
 
 
-# The bulk paths of the parser and of validate start at this many lines or
-# edges.  Their fixed cost per call is higher than the loops' and showed on
-# the benchmark's check-small graphs (at most 36 edges); their per-edge
-# saving shows on its trail-large files (at least 50,000 edges).  The value
-# only has to sit between the two; it is not a tuned crossover.
-_BULK_MIN_EDGES = 1024
-
-
 def validate(g: WeightedGraph) -> list[Violation]:
     """Check every graph invariant; empty list means the graph is valid.
 
     Strict mode additionally requires the weight multiset to be exactly
     {1..q} (so every weight value in range is hit by some edge).
 
-    From _BULK_MIN_EDGES edges on, the valid case is decided in bulk (see
-    _bulk_valid); only a graph that fails there goes through the per-edge
-    loop, which lists the violations.  A smaller graph goes through the
-    loop directly.
+    The valid case is decided in bulk (see _bulk_valid); only a graph that
+    fails there goes through the per-edge loop, which lists the violations.
     """
-    if len(g.edges) >= _BULK_MIN_EDGES and _bulk_valid(g):
+    if _bulk_valid(g):
         return []
     out: list[Violation] = []
     if g.n < 1:
@@ -305,7 +295,10 @@ def _pair_at(n: int, total: int, i: int) -> EdgeKey:
 
 MAX_VERTICES = 10**7  # largest n of a header or random_graph; the label fold allocates O(n)
 MAX_EDGES = 10**7  # most edges random_graph or extremal.complete_structure builds
-MAX_EXPONENT = 10_000  # largest |x| of a weight "<m>e<x>"; Fraction would build 10**|x|
+# Largest len(m) + |x| of a weight "<m>e<x>" (len of a token in any other form
+# but a plain integer or decimal): every accepted weight then prints within
+# Python's 4,300-digit int-to-str limit, and Fraction builds no larger 10**|x|.
+MAX_WEIGHT_DIGITS = 4300
 _COLUMN_CHUNK = 4096  # body lines the column path converts at a time
 _PRED = (-1).__add__  # 1-based vertex number to 0-based index
 
@@ -318,9 +311,7 @@ def parse_edge_list(text: str, mode: Mode | None = None) -> WeightedGraph:
     non-{1..q} weighting fails validation).  A header n above MAX_VERTICES
     is a parse error on the header line.
     """
-    lines = text.splitlines()
-    parsed = _parse_columns(lines) if len(lines) > _BULK_MIN_EDGES else None
-    n, edges, violations = parsed or _parse_lines(lines)
+    n, edges, violations = _parse_lines(text.splitlines())
     if mode is None:
         mode = Mode.STRICT if _are_ranks(edges.values()) else Mode.RELAXED
     g = WeightedGraph(n=n, edges=edges, mode=mode)
@@ -346,29 +337,18 @@ def _parse_header(rest: str, line_no: int) -> tuple[int, int]:
     return n, declared_q
 
 
-def _parse_columns(lines: list[str]):
-    """The column path, for a file whose every line after the header is an
-    'e' line: (n, edges, []) when the body converts cleanly, else None.
+def _parse_columns(lines: list[str], start: int) -> dict[EdgeKey, Weight] | None:
+    """The column reader: the edges of lines[start:], the lines after the
+    header, when each is a well-formed 'e' line of a distinct edge with
+    u < v, else None.
 
     The body is read a chunk at a time as one whitespace split, so each
-    chunk's tokens are four columns.  Any other shape, and any failed check
-    (a bad token, u >= v, a repeated edge, a count mismatch), answers None,
-    and the line loop then parses the file and names the fault.
+    chunk's tokens are four columns.  Any failed check (a line of another
+    kind, a bad token, u >= v, a repeated edge) answers None, and the line
+    loop then reads the body and names the fault.
     """
-    for header, raw in enumerate(lines):
-        line = raw.strip()
-        if line and line.partition(" ")[0] != "c":
-            break
-    else:
-        return None
-    kind, _, rest = line.partition(" ")
-    if kind != "p":
-        return None
-    n, declared_q = _parse_header(rest, header + 1)
-    if declared_q != len(lines) - header - 1:
-        return None
     edges: dict[EdgeKey, Weight] = {}
-    for i in range(header + 1, len(lines), _COLUMN_CHUNK):
+    for i in range(start, len(lines), _COLUMN_CHUNK):
         chunk = lines[i : i + _COLUMN_CHUNK]
         body = "\n" + "\n".join(chunk)
         # Every line starts "e ".  A line with other than four fields then
@@ -394,14 +374,14 @@ def _parse_columns(lines: list[str]):
             except EdgeListParseError:
                 return None
         edges.update(zip(zip(map(_PRED, us), map(_PRED, vs)), weights))
-    if len(edges) != declared_q:
-        return None
-    return n, edges, []
+    return edges if len(edges) == len(lines) - start else None
 
 
 def _parse_lines(lines: list[str]):
     """The line loop: (n, edges, violations) for any file, or the parse
-    error that names its first bad line."""
+    error that names its first bad line.  A body of exactly the declared
+    edge count goes to the column reader first; the loop reads on from the
+    header only when that answers None."""
     n = None
     declared_q = None
     header_line = 0
@@ -421,6 +401,10 @@ def _parse_lines(lines: list[str]):
                 raise EdgeListParseError(line_no, "duplicate 'p' header")
             n, declared_q = _parse_header(rest, line_no)
             header_line = line_no
+            if declared_q == len(lines) - line_no:
+                columns = _parse_columns(lines, line_no)
+                if columns is not None:
+                    return n, columns, violations
             continue
         if kind == "e":
             if n is None:
@@ -472,10 +456,11 @@ def _parse_weight(token: str, line_no: int) -> Weight:
             w = Fraction(int(whole + frac), 10 ** len(frac))
         else:
             cut = max(token.rfind("e"), token.rfind("E"))
-            if cut > 0 and abs(int(token[cut + 1 :])) > MAX_EXPONENT:
-                Fraction(token[:cut] + "e0")  # ValueError unless only the exponent is at fault
+            mantissa, exponent = (token[:cut], int(token[cut + 1 :])) if cut > 0 else (token, 0)
+            if len(mantissa) + abs(exponent) > MAX_WEIGHT_DIGITS:
+                Fraction(mantissa + "e0")  # ValueError unless only the size is at fault
                 raise EdgeListParseError(
-                    line_no, f"weight {token!r} has an exponent beyond the limit of {MAX_EXPONENT}"
+                    line_no, f"weight {token!r} is beyond the limit of {MAX_WEIGHT_DIGITS} digits"
                 )
             w = Fraction(token)
     except ValueError:

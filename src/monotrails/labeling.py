@@ -141,12 +141,10 @@ def get_label(g: WeightedGraph, i: int, v: int) -> int:
 
 
 def run_labeling_sorted(g: WeightedGraph) -> LabelState:
-    """Full labeling in a single pass: sort the edges by weight once, fold
-    the update over them and unroll every vertex's witness.  Produces a
-    state identical to q applications of propagate_step (which re-ranks at
-    every step)."""
-    labels, cells = _fold(g.n, ranked_edges(g.checked()))
-    return LabelState(step=g.q, labels=labels, witnesses=[_unroll(c) for c in cells])
+    """Full labeling of a valid graph in a single pass: label_state_at(g, q).
+    Produces a state identical to q applications of propagate_step (which
+    re-ranks at every step)."""
+    return label_state_at(g.checked(), g.q)
 
 
 def final_label_lengths(n: int, edges_in_order: Iterable[Sequence[int]]) -> list[int]:

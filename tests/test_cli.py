@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import monotrails
-from monotrails import parse_edge_list
+from monotrails import parse_edge_list, render_edge_list
 from monotrails import cli
 from monotrails.cli import main
 
@@ -124,17 +124,18 @@ class TestCompute:
         assert code == 0 and "optimum: 2" in out
 
 
-    @pytest.mark.parametrize("token", ["1e999999999", "1e-999999999"])
+    @pytest.mark.parametrize(
+        "token", ["1e999999999", "1e-999999999", "1e4300", "1e-4300", "1e9999", "1e-5000"]
+    )
     def test_weight_exponent_above_the_limit_exits_2(self, tmp_path, token):
         # Fraction would build 10**999999999 first; the child's 60 s timeout
-        # turns such a stall into a failure.
+        # turns such a stall into a failure.  A weight of more than 4300
+        # digits would print the report's first lines before it failed.
         f = tmp_path / "exp.txt"
         f.write_text(f"p 3 2\ne 1 2 {token}\ne 2 3 2\n")
-        run = run_limited("compute", str(f))
+        run = run_limited("compute", str(f), "--trail")
         assert (run.returncode, run.stdout) == (2, "")
-        assert run.stderr == (
-            f"error: line 2: weight '{token}' has an exponent beyond the limit of 10000\n"
-        )
+        assert run.stderr == f"error: line 2: weight '{token}' is beyond the limit of 4300 digits\n"
 
     def test_weight_exponent_above_the_limit_on_the_column_path(self, tmp_path):
         q = 2000
@@ -145,8 +146,23 @@ class TestCompute:
         run = run_limited("compute", str(f))
         assert (run.returncode, run.stdout) == (2, "")
         assert run.stderr == (
-            "error: line 1501: weight '1e999999999' has an exponent beyond the limit of 10000\n"
+            "error: line 1501: weight '1e999999999' is beyond the limit of 4300 digits\n"
         )
+
+    @pytest.mark.parametrize("token", ["1e4299", "1e-4299"])
+    def test_weight_at_the_digit_limit_prints(self, capsys, tmp_path, token):
+        # len("1") + 4299 is the limit; the weight has 4300 digits either
+        # way, the most Python converts between int and str.
+        f = tmp_path / "wide.txt"
+        f.write_text(f"p 3 2\ne 1 2 {token}\ne 2 3 2\n")
+        g = parse_edge_list(f.read_text())
+        code, out, err = run_cli(capsys, "compute", str(f), "--trail", "--labels")
+        assert (code, err) == (0, "") and str(g.edges[(0, 1)]) in out
+        code, out, err = run_cli(capsys, "compute", str(f), "--json")
+        assert (code, err) == (0, "") and json.loads(out)["optimum"] == 2
+        code, out, err = run_cli(capsys, "check", str(f), "--json")
+        assert (code, err) == (0, "") and json.loads(out)["ok"]
+        assert parse_edge_list(render_edge_list(g)) == g
 
 
 class TestMode:

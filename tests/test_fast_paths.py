@@ -1,9 +1,12 @@
 """The bulk paths of the graph front end against the loops they stand in for.
 
-parse_edge_list reads a well-formed body by column and falls back to the
-line loop; validate decides the valid case in bulk and falls back to the
-per-edge loop.  Each must give exactly what the loop gives: the same graph,
-or the same exception with the same line, message and violation list.
+parse_edge_list's line loop hands a body of the declared length to the
+column reader and reads on by itself only when that answers None; validate
+decides the valid case in bulk and falls back to the per-edge loop.  Each
+bulk path must give exactly what its loop gives: the same graph, or the
+same exception with the same line, message and violation list.
+line_loop and per_edge_loop run the loops alone: they make the bulk paths
+answer None and False.
 """
 
 from contextlib import contextmanager
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from monotrails import (
     Mode,
     WeightedGraph,
+    complete_graph,
     graphs,
     parse_edge_list,
     random_graph,
@@ -28,26 +32,44 @@ from strategies import any_graphs, relaxed_graphs, strict_graphs
 
 @contextmanager
 def patched(**values):
-    """Module constants of graphs set for the block (small chunks put chunk
-    boundaries inside tiny files; a zero threshold sends tiny files and
-    graphs down the bulk paths)."""
+    """Attributes of graphs set for the block (small chunks put chunk
+    boundaries inside tiny files)."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in values.items():
             mp.setattr(graphs, name, value)
         yield
 
 
-LOOPS_ONLY = 10**9  # a _BULK_MIN_EDGES no file or graph reaches
-
-
 def line_loop(text, mode=None):
-    with patched(_BULK_MIN_EDGES=LOOPS_ONLY):
+    with patched(_parse_columns=lambda lines, start: None):
         return parse_edge_list(text, mode)
 
 
 def per_edge_loop(g):
-    with patched(_BULK_MIN_EDGES=LOOPS_ONLY):
+    with patched(_bulk_valid=lambda g: False):
         return graphs.validate(g)
+
+
+@contextmanager
+def column_reader_only():
+    """Fail unless the block's one parse hands its body to the column reader
+    and keeps what it answers.  An 'e' line that reaches the line loop's
+    per-line branch fails at once: that branch parses each weight with its
+    line number, where the column reader passes 0."""
+    parse_columns, parse_weight = graphs._parse_columns, graphs._parse_weight
+    answers = []
+
+    def columns(lines, start):
+        answers.append(parse_columns(lines, start))
+        return answers[-1]
+
+    def weight(token, line_no):
+        assert line_no == 0, f"line {line_no} reached the per-line branch"
+        return parse_weight(token, line_no)
+
+    with patched(_parse_columns=columns, _parse_weight=weight):
+        yield
+    assert len(answers) == 1 and answers[0] is not None
 
 
 def outcome(parse, text, mode):
@@ -184,7 +206,7 @@ class TestParseDifferential:
         st.sampled_from([None, Mode.STRICT, Mode.RELAXED]),
     )
     def test_column_path_matches_the_line_loop(self, text, chunk, mode):
-        with patched(_COLUMN_CHUNK=chunk, _BULK_MIN_EDGES=0):
+        with patched(_COLUMN_CHUNK=chunk):
             assert_same_outcome(text, mode)
 
     @pytest.mark.parametrize(
@@ -211,38 +233,47 @@ class TestParseDifferential:
             "c lead\n\np 5 3\ne 1 2 1.5\ne 2 3 2\ne 3 4 3.000\n",
             "p 3 1\ne 1 2 1\t\n",
             "p 20000000 1\ne 1 2 1\n",
+            "p 3 2\ne 1 2 1e4299\ne 2 3 2\n",
+            "p 3 2\ne 1 2 1e4300\ne 2 3 2\n",
+            "p 3 2\ne 1 2 1e-4300\ne 2 3 2\n",
         ],
     )
     def test_hand_made_files(self, text):
         for chunk in (1, 2, graphs._COLUMN_CHUNK):
-            with patched(_COLUMN_CHUNK=chunk, _BULK_MIN_EDGES=0):
+            with patched(_COLUMN_CHUNK=chunk):
                 assert_same_outcome(text)
 
     @settings(max_examples=60)
     @given(
-        st.one_of(strict_graphs(min_m=1), relaxed_graphs(min_m=1)),
+        st.one_of(strict_graphs(), relaxed_graphs()),
+        st.sampled_from(["", "c lead\n"]),
         st.sampled_from([1, 3, graphs._COLUMN_CHUNK]),
     )
-    def test_rendered_files_take_the_column_path(self, g, chunk):
-        with patched(_COLUMN_CHUNK=chunk):
-            parsed = graphs._parse_columns(("c lead\n" + render_edge_list(g)).splitlines())
-        assert parsed == (g.n, g.edges, [])
+    def test_rendered_files_take_the_column_path(self, g, prefix, chunk):
+        with patched(_COLUMN_CHUNK=chunk), column_reader_only():
+            assert parse_edge_list(prefix + render_edge_list(g), g.mode) == g
+
+    @pytest.mark.parametrize("prefix", ["", "c lead\n"], ids=["bare", "comment"])
+    @pytest.mark.parametrize(
+        "g",
+        [WeightedGraph(n=2, edges={}, mode=Mode.STRICT), complete_graph(4, [1, 3, 6, 5, 4, 2])],
+        ids=["edgeless", "k4"],
+    )
+    def test_small_well_formed_files_skip_the_line_loop(self, g, prefix):
+        with column_reader_only():
+            assert parse_edge_list(prefix + render_edge_list(g)) == g
 
     def test_large_well_formed_files_skip_the_line_loop(self):
-        text = render_edge_list(random_graph(100, 2000, 3))
-
-        def loop(lines):
-            raise AssertionError("the line loop ran on a well-formed file")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "_parse_lines", loop)
-            assert parse_edge_list(text) == random_graph(100, 2000, 3)
+        g = random_graph(100, 2000, 3)
+        for prefix in ("", "c lead\n"):
+            with column_reader_only():
+                assert parse_edge_list(prefix + render_edge_list(g)) == g
 
     @pytest.mark.parametrize("header", ["p 10000001 0", "c lead\np 10000001 0\ne 1 2 1"])
     def test_vertex_count_limit_names_the_header_line(self, header):
         line = header.splitlines().index("p 10000001 0") + 1
         for parse in (parse_edge_list, line_loop):
-            with patched(_BULK_MIN_EDGES=0), pytest.raises(EdgeListParseError) as exc:
+            with pytest.raises(EdgeListParseError) as exc:
                 parse(header + "\n")
             assert exc.value.line_no == line
             assert exc.value.reason == "vertex count 10000001 exceeds the limit of 10000000"
@@ -297,18 +328,15 @@ HAND_BUILT_INVALID = [
 class TestBulkValidate:
     @given(st.one_of(any_graphs(), raw_graphs()))
     def test_same_list_as_the_per_edge_loop(self, g):
-        with patched(_BULK_MIN_EDGES=0):
-            assert graphs.validate(g) == per_edge_loop(g)
+        assert graphs.validate(g) == per_edge_loop(g)
 
     @pytest.mark.parametrize("g", HAND_BUILT_INVALID, ids=range(len(HAND_BUILT_INVALID)))
     def test_hand_built_graphs(self, g):
-        with patched(_BULK_MIN_EDGES=0):
-            assert graphs.validate(g) == per_edge_loop(g)
+        assert graphs.validate(g) == per_edge_loop(g)
 
     def test_equal_int_and_fraction_weights_are_duplicates(self):
         g = WeightedGraph(n=3, edges={(0, 1): 2, (1, 2): Fraction(2)}, mode=Mode.RELAXED)
-        with patched(_BULK_MIN_EDGES=0):
-            assert [v.kind for v in graphs.validate(g)] == ["duplicate-weight"]
+        assert [v.kind for v in graphs.validate(g)] == ["duplicate-weight"]
 
     @pytest.mark.parametrize("relaxed", [False, True])
     def test_large_valid_graphs_are_decided_in_bulk(self, relaxed):
@@ -317,3 +345,10 @@ class TestBulkValidate:
             g = WeightedGraph(g.n, {k: Fraction(w, 8) for k, w in g.edges.items()}, Mode.RELAXED)
         assert graphs._bulk_valid(g) and graphs.validate(g) == []
 
+    @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.RELAXED])
+    def test_edgeless_graphs_are_decided_in_bulk(self, mode):
+        g = WeightedGraph(n=2, edges={}, mode=mode)
+        bulk_valid, answers = graphs._bulk_valid, []
+        with patched(_bulk_valid=lambda g: answers.append(bulk_valid(g)) or answers[-1]):
+            assert graphs.validate(g) == []
+        assert answers == [True]

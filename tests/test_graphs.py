@@ -43,7 +43,7 @@ from monotrails.errors import (
     WrongPermutationLengthError,
 )
 
-from monotrails.graphs import _parse_weight
+from monotrails.graphs import MAX_WEIGHT_DIGITS, _parse_weight, _weight_str
 
 from strategies import any_graphs, float_trap_graphs, strict_graphs
 
@@ -319,14 +319,46 @@ class TestParseWeight:
         with pytest.raises(EdgeListParseError):
             _parse_weight(token, 7)
 
-    @pytest.mark.parametrize("token", ["1e10000", "1E-10_000", "5.5e+\u0661\u0660\u0660\u0660\u0660"])
+    # The limit is on len(mantissa) + |exponent|: 4300 for each token here.
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "1e4299", "1E-4_299", "5.5e+\u0664\u0662\u0669\u0667",
+            pytest.param("." + "0" * 4298 + "1", id="point-4299-digits"),
+        ],
+    )
     def test_exponents_up_to_the_limit_parse(self, token):
         _assert_parses_like_fraction(token)
 
-    @pytest.mark.parametrize("token", ["1e10001", "1E-10_001", "5.5e+\u0661\u0660\u0660\u0660\u0661"])
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "1e4300", "1E-4_300", "5.5e+\u0664\u0662\u0669\u0668",
+            pytest.param("." + "0" * 4299 + "1", id="point-4300-digits"),
+            "1e10001", "1E-10_001", "5.5e+\u0661\u0660\u0660\u0660\u0661",
+        ],
+    )
     def test_exponents_above_the_limit_are_parse_errors(self, token):
-        with pytest.raises(EdgeListParseError, match="exponent beyond the limit of 10000"):
+        with pytest.raises(EdgeListParseError, match="beyond the limit of 4300 digits"):
             _parse_weight(token, 7)
+
+    @settings(max_examples=300)
+    @given(
+        st.from_regex(r"\A[+]?[0-9]{0,3}(\.[0-9]{0,3})?\Z").filter(lambda m: any(map(str.isdigit, m))),
+        st.integers(-MAX_WEIGHT_DIGITS, MAX_WEIGHT_DIGITS),
+    )
+    def test_every_accepted_weight_prints(self, mantissa, exponent):
+        # Python converts at most 4300 digits between int and str: an
+        # accepted weight stays within that as an int, as a fraction and as
+        # the decimal render_edge_list writes.
+        token = f"{mantissa}e{exponent}"
+        try:
+            w = _parse_weight(token, 1)
+        except EdgeListParseError:
+            assert len(mantissa) + abs(exponent) > MAX_WEIGHT_DIGITS
+            return
+        assert Fraction(str(w)) == w
+        assert Fraction(_weight_str(w)) == w
 
     @pytest.mark.parametrize("token", ["1e5e99999", "xe99999", "1.5.e99999", "e99999"])
     def test_a_bad_mantissa_is_named_before_the_exponent(self, token):
@@ -372,7 +404,7 @@ class TestEdgeListFormat:
         with pytest.raises(GraphValidationError):
             parse_edge_list("p 2 1\ne 1 2 7\n", mode=Mode.STRICT)
 
-    @pytest.mark.parametrize("q", [1, 2000])  # the line loop, and the column path
+    @pytest.mark.parametrize("q", [1, 2000])  # a one-edge file and a large one
     @pytest.mark.parametrize("dot", ["", "."])
     def test_weight_past_the_int_digit_limit_is_a_parse_error(self, q, dot):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

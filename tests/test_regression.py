@@ -1,5 +1,5 @@
-"""Byte-identity of CLI output on two seeded fixture graphs and three
-extremal searches.
+"""Byte-identity of CLI output on two seeded fixture graphs, three extremal
+searches and nine small files.
 
 The files under fixtures/ hold a dense strict graph (400 edges on 30
 vertices) and a relaxed graph with decimal weights (300 edges on 40
@@ -8,9 +8,14 @@ the stdout of three commands on each, captured before the label fold, the
 rank key and the weight parser were rewritten for speed.  The extremal.*
 files hold the stdout of an exhaustive, a symmetry-reduced and a sampled
 search, captured before the three extremal scan loops became one engine.
-Every later version must reproduce them exactly.
+small_files.json holds nine small edge-list files -- comments and blank
+lines around the header, u > v endpoints, the edgeless graph, and files
+that fail to parse or validate -- with the exit code, stdout and stderr of
+`compute` and `check --json` on each, captured before the column reader
+took files of every size.  Every later version must reproduce them exactly.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +51,19 @@ def test_extremal_stdout_is_byte_identical(capsys, search):
     assert main(["extremal", *EXTREMAL_COMMANDS[search], "--json"]) == 0
     expected = (FIXTURES / f"extremal.{search}.out").read_text()
     assert capsys.readouterr().out == expected
+
+
+SMALL_FILES = json.loads((FIXTURES / "small_files.json").read_text())
+SMALL_COMMANDS = {"compute": ["compute"], "check_json": ["check", "--json"]}
+
+
+@pytest.mark.parametrize("name", list(SMALL_FILES))
+@pytest.mark.parametrize("command", list(SMALL_COMMANDS))
+def test_small_file_output_is_byte_identical(capsys, tmp_path, name, command):
+    case = SMALL_FILES[name]
+    f = tmp_path / "graph.txt"
+    f.write_text(case["text"])
+    cmd, *flags = SMALL_COMMANDS[command]
+    code = main([cmd, str(f), *flags])
+    out, err = capsys.readouterr()
+    assert [code, out, err] == case[command]

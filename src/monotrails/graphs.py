@@ -82,6 +82,11 @@ class WeightedGraph:
         """validate(self), computed once and kept: a graph never changes."""
         return tuple(validate(self))
 
+    @cached_property
+    def _ranks(self) -> bool:
+        """_are_ranks of the weights, kept: mode inference and validate share it."""
+        return _are_ranks(self.edges.values())
+
     def checked(self) -> WeightedGraph:
         """self when it is valid; else InvalidGraphError with its violations."""
         if self.violations:
@@ -173,7 +178,7 @@ def _bulk_valid(g: WeightedGraph) -> bool:
     return (
         n >= 1
         and all(0 <= a < b < n for a, b in edges)
-        and (_are_ranks if g.mode is Mode.STRICT else _distinct_positive)(edges.values())
+        and (g._ranks if g.mode is Mode.STRICT else _distinct_positive(edges.values()))
     )
 
 
@@ -312,9 +317,9 @@ def parse_edge_list(text: str, mode: Mode | None = None) -> WeightedGraph:
     is a parse error on the header line.
     """
     n, edges, violations = _parse_lines(text.splitlines())
-    if mode is None:
-        mode = Mode.STRICT if _are_ranks(edges.values()) else Mode.RELAXED
-    g = WeightedGraph(n=n, edges=edges, mode=mode)
+    g = WeightedGraph(n=n, edges=edges, mode=mode or Mode.STRICT)
+    if mode is None and not g._ranks:
+        g = WeightedGraph(n=n, edges=edges, mode=Mode.RELAXED)
     violations.extend(g.violations)
     if violations:
         raise GraphValidationError(violations)

@@ -1,11 +1,18 @@
 """Brute-force ground truth for longest strictly decreasing trails.
 
-Plain depth-first search over decreasing extensions, no memoization and no
-pruning beyond the definition itself, so it is slow (exponential; intended
-for n up to ~9) but obviously correct -- the point is to differentially
-test the label-propagation algorithm against it.  Because all weights are
+Depth-first search over every decreasing extension, with no memoization and
+no pruning beyond the definition itself, so it is slow (exponential; meant
+for n up to ~9) but plainly correct -- the point is to differentially test
+the label-propagation algorithm against it.  Because all weights are
 distinct, extending only with strictly smaller weights already guarantees
 the edges of a trail are pairwise distinct.
+
+brute_force_longest scans each vertex's edges lightest first and stops at
+the first edge that is not lighter than the one it arrived by: every later
+edge is heavier still, so no extension is skipped.  A step into a vertex
+whose lightest edge is the one just taken ends the trail there; it is
+counted as a node of length 0 without a call.  nodes_explored is still the
+number of trail prefixes the search visits, empty ones included.
 """
 
 from __future__ import annotations
@@ -15,6 +22,19 @@ from typing import NamedTuple
 
 from .graphs import WeightedGraph
 from .trails import Trail
+
+
+class _Above:
+    """The bound of a start vertex: above every weight, infinite ones
+    included, with no arithmetic on the weights (1e16 + 1 == 1e16)."""
+
+    __slots__ = ()
+
+    def __le__(self, other) -> bool:  # w >= _ABOVE falls back to this
+        return False
+
+
+_ABOVE = _Above()
 
 
 class TrailEnumeration(NamedTuple):
@@ -78,21 +98,33 @@ def enumerate_dec_trails_from(g: WeightedGraph, v: int, cap: int = 100_000) -> T
 
 def brute_force_longest(g: WeightedGraph) -> EnumerationResult:
     """Exact longest-decreasing-trail length per start vertex and overall."""
-    adj = _adjacency(g.checked())
+    rows: list[list[tuple[object, int]]] = [[] for _ in range(g.n)]
+    for (a, b), w in g.checked().edges.items():
+        rows[a].append((w, b))
+        rows[b].append((w, a))
+    for row in rows:
+        row.sort()  # lightest first; weights are distinct, so neighbours never compare
+    lightest = [row[0][0] if row else None for row in rows]
     nodes = 0
 
     def longest(u: int, last_w) -> int:
         nonlocal nodes
         nodes += 1
         best = 0
-        for nbr, w in adj[u]:
-            if last_w is None or w < last_w:
+        for w, nbr in rows[u]:
+            if w >= last_w:
+                break
+            if lightest[nbr] < w:
                 ext = 1 + longest(nbr, w)
                 if ext > best:
                     best = ext
+            else:  # nbr has no edge lighter than w: a dead end, one node
+                nodes += 1
+                if not best:
+                    best = 1
         return best
 
-    per_vertex = [longest(v, None) for v in range(g.n)]
+    per_vertex = [longest(v, _ABOVE) for v in range(g.n)]
     return EnumerationResult(
         per_vertex=per_vertex,
         optimum=max(per_vertex),

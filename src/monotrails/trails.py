@@ -90,8 +90,8 @@ def trail_json(g: WeightedGraph, trail: Trail, start: int | None = None) -> dict
 
     For an empty trail the start vertex must be supplied explicitly.
     Non-integer weights are emitted as floats (display only; the edge-list
-    format is the exact round-trip carrier); one beyond float range raises
-    ValueError.
+    format is the exact round-trip carrier); one beyond float range, or so
+    small that its float is 0.0, raises ValueError.
     """
     if trail:
         start = trail[0][0]
@@ -102,6 +102,8 @@ def trail_json(g: WeightedGraph, trail: Trail, start: int | None = None) -> dict
         weights = [w if isinstance(w, int) else float(w) for w in trail_weights(g, trail)]
     except OverflowError:
         raise ValueError("a trail weight is beyond float range and has no JSON number") from None
+    if 0.0 in weights:  # only a float can be 0 here: an int weight is positive
+        raise ValueError("a trail weight is below the smallest float and has no JSON number")
     return {
         "start": start + 1,
         "vertices": vertices,

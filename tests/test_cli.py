@@ -123,6 +123,28 @@ class TestCompute:
         code, out, _ = run_cli(capsys, "compute", str(f), "--trail")
         assert code == 0 and "optimum: 2" in out
 
+    @pytest.mark.parametrize("token", ["2e-324", "1e-400"])
+    def test_json_weight_below_the_smallest_float_exits_2(self, capsys, tmp_path, token):
+        # The float of such a weight is 0.0, which the schema's exclusiveMinimum refuses.
+        f = tmp_path / "tiny.txt"
+        f.write_text(f"p 3 2\ne 1 2 {token}\ne 2 3 2\n")
+        code, out, err = run_cli(capsys, "compute", str(f), "--json")
+        assert code == 2 and out == ""
+        assert err == "error: a trail weight is below the smallest float and has no JSON number\n"
+        code, out, _ = run_cli(capsys, "compute", str(f), "--trail")
+        assert code == 0 and "optimum: 2" in out
+        code, out, _ = run_cli(capsys, "check", str(f), "--json")
+        assert code == 0 and json.loads(out)["ok"]
+
+    def test_json_weight_that_rounds_to_the_smallest_float_validates(self, capsys, tmp_path):
+        f = tmp_path / "tiny.txt"
+        f.write_text("p 3 2\ne 1 2 3e-324\ne 2 3 2\n")
+        code, out, _ = run_cli(capsys, "compute", str(f), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("trail-report.schema.json"))
+        assert doc["trail"]["weights"] == [2, 5e-324]
+
 
     @pytest.mark.parametrize(
         "token", ["1e999999999", "1e-999999999", "1e4300", "1e-4300", "1e9999", "1e-5000"]
@@ -159,7 +181,11 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", str(f), "--trail", "--labels")
         assert (code, err) == (0, "") and str(g.edges[(0, 1)]) in out
         code, out, err = run_cli(capsys, "compute", str(f), "--json")
-        assert (code, err) == (0, "") and json.loads(out)["optimum"] == 2
+        if token == "1e-4299":  # its double is 0.0, a weight the report schema refuses
+            assert (code, out) == (2, "")
+            assert err == "error: a trail weight is below the smallest float and has no JSON number\n"
+        else:
+            assert (code, err) == (0, "") and json.loads(out)["optimum"] == 2
         code, out, err = run_cli(capsys, "check", str(f), "--json")
         assert (code, err) == (0, "") and json.loads(out)["ok"]
         assert parse_edge_list(render_edge_list(g)) == g

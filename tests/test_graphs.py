@@ -43,6 +43,7 @@ from monotrails.errors import (
     WrongPermutationLengthError,
 )
 
+from monotrails import graphs
 from monotrails.graphs import MAX_WEIGHT_DIGITS, _parse_weight, _weight_str
 
 from strategies import any_graphs, float_trap_graphs, strict_graphs
@@ -156,6 +157,56 @@ class TestValidatedOnce:
                 use(bad)
             assert exc.value.violations == expected
         assert len(validate_calls) == 1 and validate_calls[0] is bad
+
+
+_PATH_2000 = "p 2001 2000\n" + "".join(f"e {i} {i + 1} {i}\n" for i in range(1, 2001))
+
+
+class TestRanksCheckedOnce:
+    """Mode inference and validate share one _are_ranks verdict per parse.
+
+    Each case gives the inferred mode, or the violations of a file that
+    fails, as the parse gave them before the verdict was shared, and the
+    number of _are_ranks calls now (two per strict parse before)."""
+
+    CASES = {
+        "k4": ("p 4 6\ne 1 2 1\ne 1 3 3\ne 1 4 6\ne 2 3 5\ne 2 4 4\ne 3 4 2\n", None,
+               Mode.STRICT, 1),
+        "strict_path_2000": (_PATH_2000, None, Mode.STRICT, 1),
+        "edgeless": ("p 2 0\n", None, Mode.STRICT, 1),
+        "decimal": ("p 2 1\ne 1 2 0.5\n", None, Mode.RELAXED, 1),
+        "int_gap": ("p 2 1\ne 1 2 7\n", None, Mode.RELAXED, 1),
+        "int_gap_forced_strict": (
+            "p 2 1\ne 1 2 7\n", Mode.STRICT,
+            [("not-surjective", "strict weights must be exactly 1..1, got [7]")], 1,
+        ),
+        "ranks_forced_relaxed": ("p 2 1\ne 1 2 1\n", Mode.RELAXED, Mode.RELAXED, 0),
+        "ranks_vertex_out_of_range": (
+            "p 2 2\ne 1 2 1\ne 2 3 2\n", None, [("vertex-out-of-range", "edge (2,3) vs n=2")], 1,
+        ),
+        "duplicate_weight": (
+            "p 3 2\ne 1 2 1\ne 2 3 1\n", None,
+            [("duplicate-weight", "weight 1 used more than once")], 1,
+        ),
+        "self_loop": ("p 3 2\ne 1 1 1\ne 2 3 2\n", None, [("self-loop", "edge at vertex 1")], 1),
+        "zero_weight": (
+            "p 3 2\ne 1 2 0\ne 2 3 1\n", None,
+            [("non-positive-weight", "edge (1,2) has weight 0")], 1,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_one_rank_check_per_parse(self, monkeypatch, name):
+        text, mode, expected, expected_calls = self.CASES[name]
+        calls = []
+        are_ranks = graphs._are_ranks
+        monkeypatch.setattr(graphs, "_are_ranks", lambda ws: calls.append(ws) or are_ranks(ws))
+        try:
+            result = parse_edge_list(text, mode).mode
+        except GraphValidationError as exc:
+            result = [(v.kind, v.detail) for v in exc.violations]
+        assert result == expected
+        assert len(calls) == expected_calls
 
 
 class TestWeightedSubgraph:

@@ -1,7 +1,10 @@
 """Brute-force enumeration: goldens, maximality, and differential checks."""
 
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotrails import (
     Mode,
@@ -17,7 +20,30 @@ from monotrails import (
 )
 from monotrails.errors import InvalidGraphError
 
-from strategies import any_graphs, strict_graphs
+from strategies import any_graphs, float_trap_graphs, strict_graphs
+
+
+def plain_longest(g):
+    """The specification of brute_force_longest: a plain recursive search
+    in which every call is one trail prefix and tries every lighter edge at
+    its end.  Returns (per_vertex, optimum, nodes_explored)."""
+    adj = [[] for _ in range(g.n)]
+    for (a, b), w in g.checked().edges.items():
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    nodes = 0
+
+    def longest(u, last_w):
+        nonlocal nodes
+        nodes += 1
+        best = 0
+        for nbr, w in adj[u]:
+            if last_w is None or w < last_w:
+                best = max(best, 1 + longest(nbr, w))
+        return best
+
+    per_vertex = [longest(v, None) for v in range(g.n)]
+    return per_vertex, max(per_vertex), nodes
 
 
 class TestEnumerateDecTrailsFrom:
@@ -125,3 +151,37 @@ class TestBruteForceLongest:
             brute_force_longest(weighted_subgraph(g, i)).optimum for i in range(g.q + 1)
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+class TestAgainstThePlainSearch:
+    """The row scan with its early stop and its dead-end count visits what
+    the plain search visits: same lengths, same number of trail prefixes."""
+
+    @settings(max_examples=150)
+    @given(st.one_of(any_graphs(max_n=7), float_trap_graphs(max_n=7)))
+    def test_same_lengths_and_node_count(self, g):
+        result = brute_force_longest(g)
+        assert (result.per_vertex, result.optimum, result.nodes_explored) == plain_longest(g)
+
+    @pytest.mark.parametrize(
+        "edges, nodes",
+        [
+            ({}, 3),  # three empty prefixes
+            ({(0, 1): 1, (0, 2): 2}, 8),  # every step out of v1 ends at once
+            ({(0, 1): 2, (1, 2): 1}, 8),  # every step into v3 ends there
+        ],
+    )
+    def test_small_counts(self, edges, nodes):
+        g = WeightedGraph(n=3, edges=edges, mode=Mode.STRICT)
+        assert brute_force_longest(g).nodes_explored == plain_longest(g)[2] == nodes
+
+    @pytest.mark.parametrize(
+        "heavy", [1e16, float("inf"), Decimal("1e30"), Decimal("Infinity")], ids=repr
+    )
+    def test_heaviest_weight_without_a_successor(self, heavy):
+        # heavy + 1 == heavy for each of these, so no bound computed from the
+        # weights would let a start vertex take its heaviest edge.
+        g = WeightedGraph(n=3, edges={(0, 1): heavy, (1, 2): 1}, mode=Mode.RELAXED)
+        result = brute_force_longest(g)
+        assert (result.per_vertex, result.optimum, result.nodes_explored) == plain_longest(g)
+        assert result.per_vertex == [2, 1, 1]

@@ -1,5 +1,5 @@
 """Byte-identity of CLI output on two seeded fixture graphs, three extremal
-searches and nine small files.
+searches, nine small files and eight oracle inputs.
 
 The files under fixtures/ hold a dense strict graph (400 edges on 30
 vertices) and a relaxed graph with decimal weights (300 edges on 40
@@ -12,7 +12,13 @@ small_files.json holds nine small edge-list files -- comments and blank
 lines around the header, u > v endpoints, the edgeless graph, and files
 that fail to parse or validate -- with the exit code, stdout and stderr of
 `compute` and `check --json` on each, captured before the column reader
-took files of every size.  Every later version must reproduce them exactly.
+took files of every size.  oracle_files.json holds eight files -- the K4
+worked example, the one-vertex graph, a star, a path, relaxed decimals that
+round to the same double, a weight below the smallest float, a dense
+9-vertex graph and a file that fails validation -- with the exit code,
+stdout and stderr of `oracle` and `oracle --json` on each (nodes_explored
+included), captured before the brute-force search was rewritten.  Every
+later version must reproduce them exactly.
 """
 
 import json
@@ -65,5 +71,20 @@ def test_small_file_output_is_byte_identical(capsys, tmp_path, name, command):
     f.write_text(case["text"])
     cmd, *flags = SMALL_COMMANDS[command]
     code = main([cmd, str(f), *flags])
+    out, err = capsys.readouterr()
+    assert [code, out, err] == case[command]
+
+
+ORACLE_FILES = json.loads((FIXTURES / "oracle_files.json").read_text())
+ORACLE_COMMANDS = {"oracle": [], "oracle_json": ["--json"]}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FILES))
+@pytest.mark.parametrize("command", list(ORACLE_COMMANDS))
+def test_oracle_output_is_byte_identical(capsys, tmp_path, name, command):
+    case = ORACLE_FILES[name]
+    f = tmp_path / "graph.txt"
+    f.write_text(case["text"])
+    code = main(["oracle", str(f), *ORACLE_COMMANDS[command]])
     out, err = capsys.readouterr()
     assert [code, out, err] == case[command]

@@ -1,11 +1,15 @@
 """Ordered-trail predicates, duality, and subtrail closure."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from monotrails import (
+    Mode,
     Order,
+    WeightedGraph,
     drop_prefix,
     is_ordered_trail,
     reverse_dual,
@@ -126,3 +130,15 @@ class TestTrailJson:
         }
         with pytest.raises(ValueError):
             trail_json(k4, [])
+
+    def test_weight_whose_float_is_zero_is_refused(self):
+        # 3e-324 rounds up to the smallest subnormal double, 2e-324 down to 0.0.
+        g = WeightedGraph(
+            n=3, edges={(0, 1): Fraction(3, 10**324), (1, 2): 2}, mode=Mode.RELAXED
+        )
+        assert trail_json(g, [(2, 1), (1, 0)])["weights"] == [2, 5e-324]
+        g = WeightedGraph(
+            n=3, edges={(0, 1): Fraction(2, 10**324), (1, 2): 2}, mode=Mode.RELAXED
+        )
+        with pytest.raises(ValueError, match="below the smallest float"):
+            trail_json(g, [(2, 1), (1, 0)])

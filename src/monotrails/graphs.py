@@ -67,6 +67,7 @@ class WeightedGraph:
     materialize invalid graphs.  parse_edge_list, complete_graph and
     random_graph build valid graphs; new_graph and add_edge check each edge
     only, so a strict graph they build may fail validate (not-surjective).
+    Weights that are exactly the ints 1..q are placed by rank once, and kept.
     """
 
     n: int
@@ -83,9 +84,17 @@ class WeightedGraph:
         return tuple(validate(self))
 
     @cached_property
-    def _ranks(self) -> bool:
-        """_are_ranks of the weights, kept: mode inference and validate share it."""
-        return _are_ranks(self.edges.values())
+    def _rank_order(self) -> list[EdgeKey] | None:
+        """The edges placed at index w - 1 when the weights are exactly the
+        ints 1..q, else None: kept, so a strict graph is ranked once.  q
+        weights in 1..q fill every place only if they are distinct."""
+        q = self.q
+        order: list = [None] * q
+        for edge, w in self.edges.items():
+            if type(w) is not int or not 0 < w <= q:
+                return None
+            order[w - 1] = edge
+        return None if None in order else order
 
     def checked(self) -> WeightedGraph:
         """self when it is valid; else InvalidGraphError with its violations."""
@@ -131,8 +140,8 @@ def add_edge(g: WeightedGraph, u: int, v: int, w: Weight) -> WeightedGraph:
 def validate(g: WeightedGraph) -> list[Violation]:
     """Check every graph invariant; empty list means the graph is valid.
 
-    Strict mode additionally requires the weight multiset to be exactly
-    {1..q} (so every weight value in range is hit by some edge).
+    Strict mode additionally requires the weights to be exactly the ints
+    1..q: the graph's rank order must place every edge.
 
     The valid case is decided in bulk (see _bulk_valid); only a graph that
     fails there goes through the per-edge loop, which lists the violations.
@@ -158,38 +167,22 @@ def validate(g: WeightedGraph) -> list[Violation]:
             if w in seen:
                 out.append(Violation("duplicate-weight", f"weight {w} used more than once"))
             seen.add(w)
-    if g.mode is Mode.STRICT and not out:
-        if set(weights) != set(range(1, g.q + 1)):
-            out.append(
-                Violation(
-                    "not-surjective",
-                    f"strict weights must be exactly 1..{g.q}, got {sorted(weights)}",
-                )
-            )
+    if g.mode is Mode.STRICT and not out and g._rank_order is None:
+        detail = f"strict weights must be exactly 1..{g.q}, got {sorted(weights)}"
+        out.append(Violation("not-surjective", detail))
     return out
 
 
 def _bulk_valid(g: WeightedGraph) -> bool:
     """True when validate's loop would find nothing, decided over whole
-    columns: the keys by one 0 <= a < b < n pass, the weights by min, max
-    and distinctness.  False may still be a valid graph (weights of other
-    types); the loop then decides."""
-    n, edges = g.n, g.edges
+    columns: the keys by one 0 <= a < b < n pass, strict weights by the rank
+    order, relaxed ones by sign and distinctness.  False may still be a
+    valid graph (weights of other types); the loop then decides."""
+    n, edges, strict = g.n, g.edges, g.mode is Mode.STRICT
     return (
         n >= 1
         and all(0 <= a < b < n for a, b in edges)
-        and (g._ranks if g.mode is Mode.STRICT else _distinct_positive(edges.values()))
-    )
-
-
-def _are_ranks(weights) -> bool:
-    """True when the weights are exactly the ints 1..len(weights)."""
-    q = len(weights)
-    return not q or (
-        set(map(type, weights)) == {int}
-        and min(weights) == 1
-        and max(weights) == q
-        and len(set(weights)) == q
+        and (g._rank_order is not None if strict else _distinct_positive(edges.values()))
     )
 
 
@@ -213,20 +206,20 @@ def _distinct_positive(weights) -> bool:
 def ranked_edges(g: WeightedGraph) -> list[EdgeKey]:
     """Edge keys in ascending weight order; rank i edge is ranked_edges[i-1].
 
-    In strict mode rank equals weight, and the integer weights are the sort
-    key.  Relaxed weights sort by (float(w), w): a correctly rounded float
-    never reverses an order, so weights whose floats differ are ordered by
-    one float comparison and only weights whose floats tie are compared
-    exactly.  A weight too large for a float falls back to the exact key.
-    The order is the same as sorting by the weights themselves.
+    Weights that are exactly the ints 1..q are never sorted: this is a copy
+    of the graph's rank order.  Any others, whatever the mode, sort by
+    (float(w), w): a correctly rounded float never reverses an order, so
+    only weights whose floats tie are compared exactly, and a weight too
+    large for a float falls back to the exact key.
     """
+    order = g._rank_order
+    if order is not None:
+        return order.copy()
     weights = g.edges
-    if g.mode is Mode.RELAXED:
-        try:
-            return sorted(weights, key=lambda e: (float(weights[e]), weights[e]))
-        except OverflowError:
-            pass
-    return sorted(weights, key=weights.__getitem__)
+    try:
+        return sorted(weights, key=lambda e: (float(weights[e]), weights[e]))
+    except OverflowError:
+        return sorted(weights, key=weights.__getitem__)
 
 
 def weighted_subgraph(g: WeightedGraph, i: int) -> WeightedGraph:
@@ -318,7 +311,7 @@ def parse_edge_list(text: str, mode: Mode | None = None) -> WeightedGraph:
     """
     n, edges, violations = _parse_lines(text.splitlines())
     g = WeightedGraph(n=n, edges=edges, mode=mode or Mode.STRICT)
-    if mode is None and not g._ranks:
+    if mode is None and g._rank_order is None:
         g = WeightedGraph(n=n, edges=edges, mode=Mode.RELAXED)
     violations.extend(g.violations)
     if violations:

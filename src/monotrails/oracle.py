@@ -93,6 +93,7 @@ def enumerate_dec_trails_from(g: WeightedGraph, v: int, cap: int = 100_000) -> T
         return True
 
     dfs(v, None, [])
+    del dfs  # dfs refers to itself through its closure cell; emptying the cell breaks the cycle
     return TrailEnumeration(trails=trails, truncated=truncated)
 
 
@@ -125,6 +126,7 @@ def brute_force_longest(g: WeightedGraph) -> EnumerationResult:
         return best
 
     per_vertex = [longest(v, _ABOVE) for v in range(g.n)]
+    del longest  # as dfs above, or longest and the rows wait for the cyclic collector
     return EnumerationResult(
         per_vertex=per_vertex,
         optimum=max(per_vertex),

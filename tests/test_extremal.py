@@ -6,6 +6,7 @@ brute-force trail search, never with the label-propagation algorithm the
 extremal module uses internally.
 """
 
+import gc
 import math
 import multiprocessing
 import random
@@ -355,6 +356,19 @@ class TestSampled:
         assert report.minimum >= 5  # guaranteed trail length in K6
 
 
+def test_exhaustive_search_leaves_no_cyclic_garbage():
+    # _search's place refers to itself through its closure cell and empties
+    # the cell when done, so nothing waits for gc.
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            min_over_weightings(complete_structure(4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestStructureValidation:
     def test_non_canonical_edge(self):
         with pytest.raises(InvalidStructureError):
@@ -375,6 +389,30 @@ class TestStructureValidation:
     def test_complete_structure_rejects_zero(self):
         with pytest.raises(InvalidStructureError):
             complete_structure(0)
+
+    def test_out_of_order_edges_cannot_be_constructed(self):
+        with pytest.raises(InvalidStructureError, match=r"edge \(1,2\) out of order"):
+            Structure(n=3, edges=((0, 2), (0, 1)))
+
+    def test_repeated_edge_cannot_be_constructed(self):
+        with pytest.raises(InvalidStructureError, match=r"edge \(1,2\) repeated"):
+            Structure(n=3, edges=((0, 1), (0, 1)))
+
+    def test_zero_vertices_cannot_be_constructed(self):
+        with pytest.raises(InvalidStructureError, match="vertex count must be >= 1, got 0"):
+            Structure(n=0, edges=())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_is_complete_on_k_n_and_k_n_minus_an_edge(self, n):
+        k_n = complete_structure(n)
+        assert k_n.is_complete
+        for i in range(k_n.q):
+            assert not Structure(n=n, edges=k_n.edges[:i] + k_n.edges[i + 1 :]).is_complete
+
+    def test_is_complete_at_one_and_two_vertices(self):
+        assert Structure(n=1, edges=()).is_complete
+        assert not Structure(n=2, edges=()).is_complete
+        assert Structure(n=2, edges=((0, 1),)).is_complete
 
 
 class TestCheckLowerBound:

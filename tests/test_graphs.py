@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -112,6 +113,13 @@ class TestValidate:
         ok = WeightedGraph(n=3, edges={(0, 1): 1, (0, 2): 2, (1, 2): 4}, mode=Mode.RELAXED)
         assert validate(ok) == []
 
+    @pytest.mark.parametrize("two", [Fraction(2), 2.0], ids=repr)
+    def test_strict_weights_must_be_ints(self, two):
+        # Equal to 2 but not the int: strict has no rank order for it.
+        bad = WeightedGraph(n=3, edges={(0, 1): two, (1, 2): 1}, mode=Mode.STRICT)
+        assert [v.kind for v in validate(bad)] == ["not-surjective"]
+        assert validate(WeightedGraph(n=3, edges=bad.edges, mode=Mode.RELAXED)) == []
+
     def test_self_loop_and_non_canonical_keys_detected(self):
         bad = WeightedGraph(n=3, edges={(1, 1): 1, (2, 0): 2}, mode=Mode.RELAXED)
         kinds = {v.kind for v in validate(bad)}
@@ -162,12 +170,23 @@ class TestValidatedOnce:
 _PATH_2000 = "p 2001 2000\n" + "".join(f"e {i} {i + 1} {i}\n" for i in range(1, 2001))
 
 
+def _count_rank_placements(monkeypatch) -> list:
+    """Patch WeightedGraph._rank_order to record each graph it places."""
+    calls = []
+    place = WeightedGraph._rank_order.func
+    counted = cached_property(lambda g: calls.append(g) or place(g))
+    counted.__set_name__(WeightedGraph, "_rank_order")
+    monkeypatch.setattr(WeightedGraph, "_rank_order", counted)
+    return calls
+
+
 class TestRanksCheckedOnce:
-    """Mode inference and validate share one _are_ranks verdict per parse.
+    """Mode inference and validate share one rank placement per parse.
 
     Each case gives the inferred mode, or the violations of a file that
     fails, as the parse gave them before the verdict was shared, and the
-    number of _are_ranks calls now (two per strict parse before)."""
+    number of rank placements now: one per parse with an inferred mode or
+    a forced strict one, none under a forced relaxed mode."""
 
     CASES = {
         "k4": ("p 4 6\ne 1 2 1\ne 1 3 3\ne 1 4 6\ne 2 3 5\ne 2 4 4\ne 3 4 2\n", None,
@@ -198,9 +217,7 @@ class TestRanksCheckedOnce:
     @pytest.mark.parametrize("name", list(CASES))
     def test_one_rank_check_per_parse(self, monkeypatch, name):
         text, mode, expected, expected_calls = self.CASES[name]
-        calls = []
-        are_ranks = graphs._are_ranks
-        monkeypatch.setattr(graphs, "_are_ranks", lambda ws: calls.append(ws) or are_ranks(ws))
+        calls = _count_rank_placements(monkeypatch)
         try:
             result = parse_edge_list(text, mode).mode
         except GraphValidationError as exc:
@@ -342,6 +359,48 @@ class TestRankedEdges:
         g = parse_edge_list("p 3 3\ne 1 2 1e400\ne 2 3 2.5\ne 1 3 1e399\n")
         assert g.mode is Mode.RELAXED and g.edges[(0, 1)] == 10**400
         assert ranked_edges(g) == [(1, 2), (0, 2), (0, 1)]
+
+    # Graphs whose weights are the ints 1..q whatever their mode, and
+    # strict-mode graphs whose weights are not: a repeat, a gap, an integral
+    # Fraction, a bool and an int beyond float range.
+    RANKS = {
+        "k4": complete_graph(4, [1, 3, 6, 5, 4, 2]),
+        "edgeless": new_graph(3),
+        "forced_relaxed": WeightedGraph(
+            n=3, edges={(0, 1): 2, (1, 2): 3, (0, 2): 1}, mode=Mode.RELAXED
+        ),
+    }
+    NOT_RANKS = {
+        "duplicate_weight": {(0, 1): 1, (1, 2): 1},
+        "gap": {(0, 1): 3, (1, 2): 1},
+        "integral_fraction": {(0, 1): Fraction(2), (1, 2): 1},
+        "bool": {(0, 1): 2, (1, 2): True},
+        "beyond_float_range": {(0, 1): 10**400, (1, 2): 1, (0, 2): 2},
+    }
+
+    @pytest.mark.parametrize("name", list(RANKS) + list(NOT_RANKS))
+    def test_rank_order_is_the_exact_sort_in_either_mode(self, name):
+        if name in self.RANKS:
+            g = self.RANKS[name]
+        else:
+            g = WeightedGraph(n=3, edges=self.NOT_RANKS[name], mode=Mode.STRICT)
+        assert ranked_edges(g) == sorted(g.edges, key=g.edges.__getitem__)
+        assert (g._rank_order is not None) == (name in self.RANKS)
+
+    @given(strict_graphs())
+    def test_valid_strict_graph_is_never_sorted(self, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "sorted", lambda *a, **k: pytest.fail("sorted"), raising=False)
+            ranked = ranked_edges(g)
+        assert [g.edges[e] for e in ranked] == list(range(1, g.q + 1))
+
+    def test_rank_order_is_placed_once_and_copied(self, monkeypatch):
+        calls = _count_rank_placements(monkeypatch)
+        g = parse_edge_list(_PATH_2000)
+        first = ranked_edges(g)
+        first.reverse()
+        assert ranked_edges(g) == [(i, i + 1) for i in range(2000)]
+        assert len(calls) == 1
 
 
 def _assert_parses_like_fraction(token):

@@ -1,5 +1,6 @@
 """Brute-force enumeration: goldens, maximality, and differential checks."""
 
+import gc
 from decimal import Decimal
 
 import pytest
@@ -12,6 +13,7 @@ from monotrails import (
     WeightedGraph,
     add_edge,
     brute_force_longest,
+    complete_graph,
     enumerate_dec_trails_from,
     is_ordered_trail,
     new_graph,
@@ -185,3 +187,18 @@ class TestAgainstThePlainSearch:
         result = brute_force_longest(g)
         assert (result.per_vertex, result.optimum, result.nodes_explored) == plain_longest(g)
         assert result.per_vertex == [2, 1, 1]
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # The recursive searches refer to themselves through their closure
+    # cells; each empties its cell when done, so nothing waits for gc.
+    k4 = complete_graph(4, [1, 3, 6, 5, 4, 2])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            brute_force_longest(k4)
+            enumerate_dec_trails_from(k4, 0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

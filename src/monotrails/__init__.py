@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 from .errors import MonotrailsError
 from .extremal import (
-    BoundCheck,
     Exhaustive,
     ExtremalReport,
     Sampled,
@@ -64,7 +63,6 @@ from .trails import (
 )
 
 __all__ = [
-    "BoundCheck",
     "EnumerationResult",
     "Exhaustive",
     "ExtremalReport",

@@ -52,10 +52,12 @@ class StepExhaustedError(MonotrailsError):
 class InvalidGraphError(MonotrailsError):
     """An operation requiring a valid graph received one that fails validation."""
 
+    prefix = "invalid graph"
+
     def __init__(self, violations):
         self.violations = list(violations)
         detail = "; ".join(f"{v.kind}: {v.detail}" for v in self.violations)
-        super().__init__(f"invalid graph: {detail}")
+        super().__init__(f"{self.prefix}: {detail}")
 
 
 class ExhaustiveTooLargeError(MonotrailsError):
@@ -75,10 +77,7 @@ class EdgeListParseError(MonotrailsError):
         self.reason = reason
 
 
-class GraphValidationError(MonotrailsError):
+class GraphValidationError(InvalidGraphError):
     """A parsed edge list describes a graph that fails validation."""
 
-    def __init__(self, violations):
-        self.violations = list(violations)
-        detail = "; ".join(f"{v.kind}: {v.detail}" for v in self.violations)
-        super().__init__(f"edge list fails validation: {detail}")
+    prefix = "edge list fails validation"

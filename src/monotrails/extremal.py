@@ -45,10 +45,11 @@ from itertools import combinations
 
 from .errors import ExhaustiveTooLargeError, InvalidStructureError, TooManyEdgesError
 from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
-from .labeling import Order, _fold, longest_ordered_trail
+from .labeling import Order, TrailReport, _fold, longest_ordered_trail
 
 EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; minutes, not hours
 SAMPLE_CHUNK = 4096  # sampled orders per task, so a large count streams
+SAMPLE_ENTRIES = 1 << 17  # order entries (orders x q) per task, so a long order streams too
 
 
 @dataclass(frozen=True)
@@ -115,19 +116,6 @@ class ExtremalReport:
     witness: tuple[int, ...]
     reduction_factor: int
     elapsed_s: float
-
-
-@dataclass
-class BoundCheck:
-    """Longest-trail length versus the two floor-form lower bounds, with the
-    final decreasing labels the length was taken from."""
-
-    p_d: int
-    bound_two_floor_q_over_n: int
-    bound_floor_two_q_over_n: int
-    holds_a: bool
-    holds_b: bool
-    labels: list[int]
 
 
 def _search(task) -> tuple[int, tuple[int, ...], int]:
@@ -249,9 +237,15 @@ def _sampled_tasks(n: int, endpoints, mode: Sampled, chunk: int):
 
 
 def _merge(results) -> tuple[int, tuple[int, ...], int]:
-    """The least (value, witness) over the task results, and the summed count."""
-    best, best_w = min((value, wvec) for value, wvec, _ in results)
-    return best, best_w, sum(count for _, _, count in results)
+    """The least (value, witness) over the task results, and the summed count,
+    in one pass: a result is dropped once it has lost, so holding the results
+    of a long stream costs one witness, not one per task."""
+    best, examined = None, 0
+    for value, wvec, count in results:
+        examined += count
+        if best is None or (value, wvec) < best:
+            best = value, wvec
+    return (*best, examined)
 
 
 def min_over_weightings(
@@ -295,10 +289,10 @@ def min_over_weightings(
     else:
         if mode.count < 1:
             raise ValueError(f"sample count must be >= 1, got {mode.count}")
-        chunk = max(1, min(SAMPLE_CHUNK, mode.count // (4 * jobs)))
+        chunk = max(1, min(SAMPLE_CHUNK, SAMPLE_ENTRIES // max(1, q), mode.count // (4 * jobs)))
         tasks = _sampled_tasks(n, endpoints, mode, chunk)
         engine, n_tasks = _scan, -(-mode.count // chunk)
-    best, best_w, examined = _merge(_run_tasks(engine, tasks, n_tasks, jobs))
+    best, best_w, examined = _run_tasks(engine, tasks, n_tasks, jobs)
 
     return ExtremalReport(
         structure=structure,
@@ -316,21 +310,22 @@ def _pool_size(jobs: int, cpus: int, tasks: int) -> int:
     return min(jobs, cpus, tasks)
 
 
-def _run_tasks(engine, tasks, n_tasks: int, jobs: int):
-    """engine over each task.  A lazy task stream is read as tasks are
-    handed out, so it is never held whole, here or with a pool.  A pool
-    forks where it can; engines and tasks are module-level and picklable,
-    so the default start method works too."""
+def _run_tasks(engine, tasks, n_tasks: int, jobs: int) -> tuple[int, tuple[int, ...], int]:
+    """engine over each task, merged.  A lazy task stream is read as tasks
+    are handed out, and each result is merged as it arrives, so neither is
+    held whole, here or with a pool.  A pool forks where it can; engines and
+    tasks are module-level and picklable, so the default start method works
+    too."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = _pool_size(jobs, cpus or 1, n_tasks)
     if size == 1:
-        return list(map(engine, tasks))
+        return _merge(map(engine, tasks))
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     with multiprocessing.get_context(method).Pool(processes=size) as pool:
-        return list(pool.imap(engine, tasks))
+        return _merge(pool.imap(engine, tasks))
 
 
-def check_lower_bound(g: WeightedGraph) -> BoundCheck:
+def check_lower_bound(g: WeightedGraph) -> TrailReport:
     """Longest-trail length against both floor-form guarantees, as
     longest_ordered_trail reports them.
 
@@ -340,15 +335,7 @@ def check_lower_bound(g: WeightedGraph) -> BoundCheck:
     label of at least floor(2q/n).  A failure signals an implementation bug
     and is reported, not raised.  An invalid graph raises InvalidGraphError.
     """
-    report = longest_ordered_trail(g, Order.DECREASING)
-    return BoundCheck(
-        p_d=report.optimum,
-        bound_two_floor_q_over_n=report.bound_two_floor_q_over_n,
-        bound_floor_two_q_over_n=report.bound_floor_two_q_over_n,
-        holds_a=report.optimum >= report.bound_two_floor_q_over_n,
-        holds_b=report.optimum >= report.bound_floor_two_q_over_n,
-        labels=report.labels,
-    )
+    return longest_ordered_trail(g, Order.DECREASING)
 
 
 def extremal_report_json(report: ExtremalReport, include_timing: bool = False) -> dict:

@@ -243,9 +243,10 @@ def complete_graph(n: int, weights: list[int]) -> WeightedGraph:
         raise WrongPermutationLengthError(
             f"K_{n} has {len(keys)} edges, got {len(weights)} weights"
         )
-    if sorted(weights) != list(range(1, len(keys) + 1)):
+    g = WeightedGraph(n=n, edges=dict(zip(keys, weights)), mode=Mode.STRICT)
+    if g._rank_order is None:
         raise NotAPermutationError(f"weights are not a permutation of 1..{len(keys)}")
-    return WeightedGraph(n=n, edges=dict(zip(keys, weights)), mode=Mode.STRICT)
+    return g
 
 
 def random_graph(n: int, m: int, seed: int) -> WeightedGraph:

@@ -61,6 +61,19 @@ class TrailReport:
     bound_two_floor_q_over_n: int
     bound_floor_two_q_over_n: int
 
+    @property
+    def holds_a(self) -> bool:
+        return self.optimum >= self.bound_two_floor_q_over_n
+
+    @property
+    def holds_b(self) -> bool:
+        return self.optimum >= self.bound_floor_two_q_over_n
+
+    @property
+    def p_d(self) -> int:
+        """The optimum, under the name check's report and perfbench read."""
+        return self.optimum
+
 
 def initial_state(g: WeightedGraph) -> LabelState:
     """Step-0 state: no edges processed, all labels 0, all witnesses empty."""
@@ -156,7 +169,7 @@ def final_label_lengths(n: int, edges_in_order: Iterable[Sequence[int]]) -> list
 def longest_ordered_trail(g: WeightedGraph, kind: Order) -> TrailReport:
     """Optimum ordered-trail length with a witness, the final labels and
     the two floor-form lower bounds, which are computed here and nowhere
-    else (extremal.check_lower_bound reads them from the report).
+    else (extremal.check_lower_bound returns this report).
 
     The optimum is the maximum final label; the reported witness starts at
     the smallest vertex attaining it (for increasing trails, the dual of

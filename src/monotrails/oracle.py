@@ -49,15 +49,15 @@ class EnumerationResult:
     nodes_explored: int
 
 
-def _adjacency(g: WeightedGraph) -> list[list[tuple[int, object]]]:
-    """adj[u] = (neighbor, weight) pairs, neighbors ascending."""
-    adj: list[list[tuple[int, object]]] = [[] for _ in range(g.n)]
+def _rows(g: WeightedGraph) -> list[list[tuple[object, int]]]:
+    """rows[u] = (weight, neighbour) pairs of u's edges, lightest first."""
+    rows: list[list[tuple[object, int]]] = [[] for _ in range(g.n)]
     for (a, b), w in g.edges.items():
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-    for row in adj:
-        row.sort()
-    return adj
+        rows[a].append((w, b))
+        rows[b].append((w, a))
+    for row in rows:
+        row.sort()  # distinct weights never compare neighbours
+    return rows
 
 
 def enumerate_dec_trails_from(g: WeightedGraph, v: int, cap: int = 100_000) -> TrailEnumeration:
@@ -70,13 +70,13 @@ def enumerate_dec_trails_from(g: WeightedGraph, v: int, cap: int = 100_000) -> T
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    adj = _adjacency(g)
+    rows = _rows(g)
     trails: list[Trail] = []
     truncated = False
 
     def dfs(u: int, last_w, current: Trail) -> bool:
         nonlocal truncated
-        extensions = [(nbr, w) for (nbr, w) in adj[u] if last_w is None or w < last_w]
+        extensions = sorted((nbr, w) for w, nbr in rows[u] if last_w is None or w < last_w)
         if not extensions:
             if current:
                 if len(trails) >= cap:
@@ -99,12 +99,7 @@ def enumerate_dec_trails_from(g: WeightedGraph, v: int, cap: int = 100_000) -> T
 
 def brute_force_longest(g: WeightedGraph) -> EnumerationResult:
     """Exact longest-decreasing-trail length per start vertex and overall."""
-    rows: list[list[tuple[object, int]]] = [[] for _ in range(g.n)]
-    for (a, b), w in g.checked().edges.items():
-        rows[a].append((w, b))
-        rows[b].append((w, a))
-    for row in rows:
-        row.sort()  # lightest first; weights are distinct, so neighbours never compare
+    rows = _rows(g.checked())
     lightest = [row[0][0] if row else None for row in rows]
     nodes = 0
 

@@ -91,6 +91,26 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", str(bad))
         assert code == 2 and "line 1" in err
 
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            ("p 3", "header must be 'p <n> <q>'"),
+            ("p 3 2 1", "header must be 'p <n> <q>'"),
+            ("p x 2", "header fields must be integers"),
+        ],
+    )
+    def test_malformed_header_exits_2_naming_its_line(self, capsys, tmp_path, header, reason):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"c the header is on line 2\n{header}\ne 1 2 1\n")
+        code, out, err = run_cli(capsys, "compute", str(bad))
+        assert (code, out, err) == (2, "", f"error: line 2: {reason}\n")
+
+    def test_empty_trail_is_printed_at_its_start(self, capsys, tmp_path):
+        edgeless = tmp_path / "edgeless.txt"
+        edgeless.write_text("p 2 0\n")
+        code, out, _ = run_cli(capsys, "compute", str(edgeless), "--trail")
+        assert code == 0 and "trail: v1  (empty trail)" in out.splitlines()
+
     def test_usage_error_exits_2(self, capsys, k4_file):
         with pytest.raises(SystemExit) as exc:
             main(["compute", str(k4_file), "--order", "sideways"])

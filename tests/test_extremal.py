@@ -10,6 +10,7 @@ import gc
 import math
 import multiprocessing
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 
 from monotrails import (
     Exhaustive,
+    Order,
     Sampled,
     Structure,
     brute_force_longest,
     check_lower_bound,
     complete_graph,
     complete_structure,
+    longest_ordered_trail,
     min_over_weightings,
     new_graph,
     random_graph,
@@ -307,13 +310,15 @@ class TestSampled:
     def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
         mode = Sampled(count=300, seed=4)
         default = min_over_weightings(complete_structure(5), mode=mode)
-        monkeypatch.setattr(extremal, "SAMPLE_CHUNK", 7)
-        chunked = min_over_weightings(complete_structure(5), mode=mode)
-        assert (default.minimum, default.witness, default.examined) == (
-            chunked.minimum,
-            chunked.witness,
-            chunked.examined,
-        )
+        for cap, value in (("SAMPLE_CHUNK", 7), ("SAMPLE_ENTRIES", 50)):  # 7 and 5 orders
+            with monkeypatch.context() as patch:
+                patch.setattr(extremal, cap, value)
+                chunked = min_over_weightings(complete_structure(5), mode=mode)
+            assert (default.minimum, default.witness, default.examined) == (
+                chunked.minimum,
+                chunked.witness,
+                chunked.examined,
+            )
 
     def test_a_serial_run_draws_one_chunk_at_a_time(self, monkeypatch):
         drawn = []
@@ -336,6 +341,41 @@ class TestSampled:
         assert report.examined == 95
         assert drawn == [10] * 9 + [5]
         assert scanned == list(range(1, 11))  # chunk k is drawn just before scan k
+
+    def test_a_chunk_of_long_orders_is_bounded_by_its_entries(self, monkeypatch):
+        q = 2000
+        path = Structure(n=q + 1, edges=tuple((i, i + 1) for i in range(q)))
+        sizes = []
+
+        def stub_scan(task):
+            sizes.append(len(task[2]) * q)
+            return 0, (), len(task[2])
+
+        monkeypatch.setattr(extremal, "_scan", stub_scan)
+        report = min_over_weightings(path, mode=Sampled(count=300, seed=0))
+        assert report.examined == 300
+        assert max(sizes) <= extremal.SAMPLE_ENTRIES < 300 // 4 * q
+        # K7's orders are short enough that its chunks are still SAMPLE_CHUNK orders.
+        assert extremal.SAMPLE_ENTRIES // complete_structure(7).q >= extremal.SAMPLE_CHUNK
+
+    def test_task_results_are_merged_as_they_arrive(self, monkeypatch):
+        alive = [0]
+        most = [0]
+
+        class Witness(tuple):
+            def __del__(self):
+                alive[0] -= 1
+
+        def stub_scan(task):
+            alive[0] += 1
+            most[0] = max(most[0], alive[0])
+            return 3, Witness(task[2][0]), len(task[2])
+
+        monkeypatch.setattr(extremal, "SAMPLE_CHUNK", 1)
+        monkeypatch.setattr(extremal, "_scan", stub_scan)
+        report = min_over_weightings(complete_structure(4), mode=Sampled(count=50, seed=0))
+        assert report.examined == 50
+        assert most[0] <= 3  # the best so far, the last and the newest: not one per task
 
     @pytest.mark.parametrize("seed", [0, 3, 2024])
     @pytest.mark.parametrize("q", [1, 2, 3, 8, 21])
@@ -436,6 +476,21 @@ class TestCheckLowerBound:
         bc = check_lower_bound(g)
         assert bc.holds_a and bc.holds_b
         assert bc.bound_floor_two_q_over_n >= bc.bound_two_floor_q_over_n
+
+    def test_an_optimum_below_a_bound_is_reported(self, k4):
+        # Never so on a valid graph; this is how check would report a fold bug.
+        report = check_lower_bound(k4)  # bounds 2 and 3
+        for optimum, holds in ((3, (True, True)), (2, (True, False)), (1, (False, False))):
+            shifted = replace(report, optimum=optimum)
+            assert (shifted.holds_a, shifted.holds_b) == holds
+
+    @given(strict_graphs())
+    def test_the_check_is_the_decreasing_trail_report(self, g):
+        report = check_lower_bound(g)
+        assert report == longest_ordered_trail(g, Order.DECREASING)
+        assert report.p_d == report.optimum
+        assert report.holds_a == (report.optimum >= report.bound_two_floor_q_over_n)
+        assert report.holds_b == (report.optimum >= report.bound_floor_two_q_over_n)
 
     @settings(max_examples=30)
     @given(st.integers(2, 7), st.integers(0, 2**31))

@@ -4,7 +4,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -275,8 +275,20 @@ class TestCompleteGraph:
             complete_graph(3, [1, 2])
 
     def test_not_a_permutation(self):
-        with pytest.raises(NotAPermutationError):
-            complete_graph(3, [1, 2, 2])
+        # Only the ints 1..q are a permutation: equal values of other types are not.
+        cases = [(3, [1, 2, 2]), (3, [1, 2, None]), (3, [True, 2, 3.0]), (2, [Fraction(1)])]
+        for n, weights in cases:
+            message = rf"^weights are not a permutation of 1\.\.{len(weights)}$"
+            with pytest.raises(NotAPermutationError, match=message):
+                complete_graph(n, weights)
+
+    def test_every_permutation_builds_a_valid_k4(self):
+        for weights in permutations(range(1, 7)):
+            assert complete_graph(4, list(weights)).violations == ()
+
+    def test_rejects_zero_vertices(self):
+        with pytest.raises(InvalidVertexCountError):
+            complete_graph(0, [])
 
     @given(st.integers(1, 7), st.randoms(use_true_random=False))
     def test_degrees_and_edge_count(self, n, rng):
@@ -310,6 +322,10 @@ class TestRandomGraph:
     def test_too_many_edges(self):
         with pytest.raises(TooManyEdgesError):
             random_graph(3, 4, 0)
+
+    def test_rejects_zero_vertices(self):
+        with pytest.raises(InvalidVertexCountError):
+            random_graph(0, 0, 0)
 
     def test_different_seeds_usually_differ(self):
         assert any(random_graph(6, 9, 0) != random_graph(6, 9, s) for s in range(1, 5))
@@ -566,6 +582,12 @@ class TestEdgeListFormat:
         with pytest.raises(GraphValidationError) as exc:
             parse_edge_list("p 3 2\ne 1 2 4\ne 1 3 4\n")
         assert any(v.kind == "duplicate-weight" for v in exc.value.violations)
+
+    def test_a_validation_error_is_an_invalid_graph_error(self):
+        with pytest.raises(InvalidGraphError) as exc:
+            parse_edge_list("p 3 1\ne 2 2 5\n")
+        assert type(exc.value) is GraphValidationError
+        assert str(exc.value).startswith("edge list fails validation: self-loop: ")
 
     def test_duplicate_edge_is_a_validation_error(self):
         with pytest.raises(GraphValidationError) as exc:

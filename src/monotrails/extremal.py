@@ -18,6 +18,15 @@ table entry lists available; exhaustive mode has one task per edge of
 weight 1 and no unlocks.  Sampled mode streams: _scan folds each order of
 a chunk drawn lazily from one seeded stream from zero labels.
 
+_search is a branch and bound.  It skips a prefix whose lower bound, the
+larger of its top label and ceil((label sum + 2 * edges left) / n), is
+above the best value so far, or equals it while no completion can beat
+the best witness lexicographically.  The report's `examined` counts
+orders decided: folded, or counted at a skipped prefix, so the numbers
+are unchanged (q!, or q!/n! reduced).  A skipped prefix's admitted
+completions are counted by the hook-length formula for forests, since
+each edge has at most one unlocker.
+
 Symmetry reduction (complete graphs, n >= 3): relabeling vertices never
 changes trail lengths, and no nontrivial relabeling fixes a
 distinct-weight assignment, so the weightings fall into orbits of size
@@ -121,54 +130,100 @@ class ExtremalReport:
 def _search(task) -> tuple[int, tuple[int, ...], int]:
     """Evaluate one task (n, endpoints, start, avail, unlocks) depth-first:
     the edges in `start` take the weights 1..len(start), then every order
-    of the rest that places only available edges is folded; placing edge j
+    of the rest that places only available edges is decided; placing edge j
     makes unlocks[j] available.  Returns (min value, lex-min weight vector
-    achieving it, orders examined)."""
+    achieving it, orders decided).
+
+    An order is decided when it is folded, or when a prefix of it is
+    skipped.  After an edge is placed at `rank`, with `left` = q - rank
+    edges to come, the final value is at least
+    max(top label, ceil((label sum + 2*left) / n)), since every edge raises
+    the label sum by at least 2.  The prefix is skipped when that bound is
+    (a, b) above the best value so far, or (c) equal to it while no
+    completion can be lexicographically smaller than the best witness
+    (_beaten).  A skipped prefix counts its admitted completions: the
+    unlock table is a forest (each edge has at most one unlocker), so they
+    number left! / prod(size[k]) over the unplaced edges k, with size[k]
+    the size of k's subtree (the hook-length formula for forests); that
+    product is carried down and divided by size[j] when j is placed.  With
+    no unlocks every size is 1, and the count is left!."""
     n, endpoints, start, avail, unlocks = task
     q = len(endpoints)
     if len(start) >= q - 1:  # at most one edge left: one order
         return _scan((n, endpoints, [start + avail]))
     labels = _fold(n, [endpoints[j] for j in start])[0]
-    w = [0] * q  # weight buffer: start written once, each level on the way down
+    w = [0] * q  # weight buffer: 0 marks an unplaced edge, so a level resets its edge on the way up
     for rank, j in enumerate(start, 1):
         w[j] = rank
+    forest = list(avail)  # the unplaced edges, each after its unlocker
+    for j in forest:
+        forest.extend(unlocks[j])
+    size = [1] * q
+    for j in reversed(forest):
+        for k in unlocks[j]:
+            size[j] += size[k]
+    fact = [math.factorial(k) for k in range(q + 1)]
     best, best_w, examined = q + 1, None, 0
 
-    def place(avail, rank, top):
-        """Place each available edge at `rank`; two or more edges are left."""
+    def place(avail, rank, top, total, hook):
+        """Place each available edge at `rank`; two or more edges are left.
+        top and total are the labels' maximum and sum, and hook is the
+        product of the subtree sizes of the unplaced edges."""
         nonlocal best, best_w, examined
+        left = q - rank
         for i, j in enumerate(avail):
             u, v = endpoints[j]
             lu, lv = labels[u], labels[v]
             if lv > lu:
                 t = labels[u] = lv + 1
+                s = total + t - lu
             elif lu > lv:
                 t = labels[v] = lu + 1
+                s = total + t - lv
             else:
                 t = labels[u] = labels[v] = lu + 1
+                s = total + 2
             if t < top:
                 t = top
             w[j] = rank
-            rest = avail[:i] + avail[i + 1 :] + unlocks[j]
-            if rank + 1 < q:
-                place(rest, rank + 1, t)
+            if left > 1:
+                bound = -(-(s + 2 * left) // n)
+                if bound < t:
+                    bound = t
+                if bound > best or (bound == best and _beaten(w, best_w, rank)):
+                    examined += fact[left] // (hook // size[j])
+                else:
+                    place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, t, s, hook // size[j])
             else:  # fold the last edge in place
-                a, b = endpoints[rest[0]]
+                k = (avail[:i] + avail[i + 1 :] + unlocks[j])[0]
+                a, b = endpoints[k]
                 la, lb = labels[a], labels[b]
                 value = lb + 1 if lb >= la else la + 1
                 if value < t:
                     value = t
                 examined += 1
                 if value <= best:
-                    w[rest[0]] = q
+                    w[k] = q
                     wt = tuple(w)
+                    w[k] = 0
                     if value < best or wt < best_w:
                         best, best_w = value, wt
+            w[j] = 0
             labels[u], labels[v] = lu, lv
 
-    place(avail, len(start) + 1, max(labels))
+    place(avail, len(start) + 1, max(labels), sum(labels), math.prod(size[j] for j in forest))
     del place  # place refers to itself through its closure cell; emptying the cell breaks the cycle
     return best, best_w, examined
+
+
+def _beaten(w, best_w, rank) -> bool:
+    """Whether no completion of the partial weight vector w (0 for an
+    unplaced edge, whose weight will be above rank) is lexicographically
+    smaller than best_w."""
+    for x, b in zip(w, best_w):
+        if x != b:
+            return x > b if x else b <= rank
+    return True
 
 
 def _scan(task) -> tuple[int, tuple[int, ...], int]:

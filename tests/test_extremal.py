@@ -14,7 +14,7 @@ from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monotrails import (
@@ -182,12 +182,12 @@ class TestMinOverWeightingsExhaustive:
 
 
 @st.composite
-def small_structures(draw):
-    """Structures with n <= 5 and q <= 6: complete, sparse, disconnected or
-    edgeless."""
-    n = draw(st.integers(1, 5))
+def small_structures(draw, max_n: int = 5, max_q: int = 6):
+    """Structures with n <= max_n and q <= max_q: complete, sparse,
+    disconnected, edgeless or with isolated vertices."""
+    n = draw(st.integers(1, max_n))
     keys = list(combinations(range(n), 2))
-    edges = draw(st.lists(st.sampled_from(keys), unique=True, max_size=6)) if keys else []
+    edges = draw(st.lists(st.sampled_from(keys), unique=True, max_size=max_q)) if keys else []
     return Structure(n=n, edges=tuple(sorted(edges)))
 
 
@@ -204,6 +204,32 @@ class TestEngineAgainstBruteForceScan:
         report = min_over_weightings(s)
         assert (report.minimum, report.witness) == best
         assert report.examined == math.factorial(s.q)
+
+
+class TestPruningAgainstTheOrderStream:
+    """The pruned search decides the same orders as folding every one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_structures(max_n=7, max_q=7))
+    @example(Structure(n=4, edges=()))  # edgeless
+    @example(Structure(n=6, edges=((0, 1), (0, 2), (1, 2))))  # a triangle and 3 isolated vertices
+    @example(Structure(n=6, edges=((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))))  # 2 triangles
+    @example(Structure(n=7, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6))))
+    # A weight left in the buffer by a finished level would change this one's witness.
+    @example(Structure(n=5, edges=((0, 3), (0, 4), (1, 3), (2, 3), (2, 4))))
+    def test_exhaustive_search_equals_scanning_every_order(self, s):
+        scanned = extremal._scan((s.n, s.edges, list(permutations(range(s.q)))))
+        report = min_over_weightings(s)
+        assert (report.minimum, report.witness, report.examined) == scanned
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_each_reduced_task_decides_the_orders_it_admits(self, n):
+        # Per task, not merged: a wrong completion count at a skipped prefix
+        # of one task cannot hide behind another task's.
+        for task in extremal._reduce_tasks(n, complete_structure(n).edges):
+            _, endpoints, start, avail, unlocks = task
+            orders = list(admitted_orders(tuple(start), avail, unlocks))
+            assert extremal._search(task) == extremal._scan((n, endpoints, orders))
 
 
 class TestSymmetryReduction:

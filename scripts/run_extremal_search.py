@@ -37,6 +37,8 @@ def parse_config(argv=None) -> RunConfig:
     args = parser.parse_args(argv)
     if args.max_n > 5:
         parser.error("the exhaustive guard caps complete graphs at n=5 (q=10)")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     return RunConfig(max_n=args.max_n, jobs=args.jobs, reduce_symmetry=args.reduce)
 
 

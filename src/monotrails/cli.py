@@ -77,7 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     how.add_argument("--exhaustive", action="store_true")
     how.add_argument("--sample", type=int, metavar="K", help="evaluate K seeded random weightings")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reduce", action="store_true", help="quotient complete graphs by relabeling symmetry")
+    p.add_argument(
+        "--reduce",
+        action="store_true",
+        help="one weighting per relabeling orbit; acts only on --exhaustive runs of K_n "
+        "with n >= 3 (reduction factor 1 otherwise)",
+    )
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default: $TRAIL_JOBS or 1)")
     p.add_argument("--timing", action="store_true", help="include measured elapsed_ms in JSON output")
     p.add_argument("--json", action="store_true")
@@ -226,7 +231,10 @@ def _cmd_extremal(args) -> int:
     else:
         structure = structure_of(_load_graph(args.file, args.mode))
     mode = Exhaustive() if args.exhaustive else Sampled(count=args.sample, seed=args.seed)
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("TRAIL_JOBS", "1"))
+    try:
+        jobs = args.jobs if args.jobs is not None else int(os.environ.get("TRAIL_JOBS", "1"))
+    except ValueError:
+        raise ValueError(f"TRAIL_JOBS must be an integer, got {os.environ['TRAIL_JOBS']!r}") from None
     report = min_over_weightings(
         structure, mode=mode, reduce_symmetry=args.reduce, jobs=jobs
     )

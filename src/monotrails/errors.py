@@ -41,6 +41,10 @@ class NotAPermutationError(MonotrailsError):
     """The given weights are not a permutation of 1..q."""
 
 
+class InvalidEdgeCountError(MonotrailsError):
+    """Requested edge count below 0."""
+
+
 class TooManyEdgesError(MonotrailsError):
     """Requested edge count exceeds n*(n-1)/2."""
 

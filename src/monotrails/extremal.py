@@ -21,11 +21,10 @@ a chunk drawn lazily from one seeded stream from zero labels.
 _search is a branch and bound.  It skips a prefix whose lower bound, the
 larger of its top label and ceil((label sum + 2 * edges left) / n), is
 above the best value so far, or equals it while no completion can beat
-the best witness lexicographically.  The report's `examined` counts
-orders decided: folded, or counted at a skipped prefix, so the numbers
-are unchanged (q!, or q!/n! reduced).  A skipped prefix's admitted
-completions are counted by the hook-length formula for forests, since
-each edge has at most one unlocker.
+the best witness lexicographically.  The engines return only the value
+and its witness; the report's `examined` is the size of the space the
+run covers (q!, q!/n! reduced, or the sample count), set once by
+min_over_weightings.
 
 Symmetry reduction (complete graphs, n >= 3): relabeling vertices never
 changes trail lengths, and no nontrivial relabeling fixes a
@@ -56,7 +55,7 @@ from .errors import ExhaustiveTooLargeError, InvalidStructureError, TooManyEdges
 from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import Order, TrailReport, _fold, longest_ordered_trail
 
-EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; minutes, not hours
+EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 takes about a second
 SAMPLE_CHUNK = 4096  # sampled orders per task, so a large count streams
 SAMPLE_ENTRIES = 1 << 17  # order entries (orders x q) per task, so a long order streams too
 
@@ -127,26 +126,19 @@ class ExtremalReport:
     elapsed_s: float
 
 
-def _search(task) -> tuple[int, tuple[int, ...], int]:
+def _search(task) -> tuple[int, tuple[int, ...]]:
     """Evaluate one task (n, endpoints, start, avail, unlocks) depth-first:
     the edges in `start` take the weights 1..len(start), then every order
     of the rest that places only available edges is decided; placing edge j
     makes unlocks[j] available.  Returns (min value, lex-min weight vector
-    achieving it, orders decided).
+    achieving it).
 
-    An order is decided when it is folded, or when a prefix of it is
-    skipped.  After an edge is placed at `rank`, with `left` = q - rank
-    edges to come, the final value is at least
-    max(top label, ceil((label sum + 2*left) / n)), since every edge raises
-    the label sum by at least 2.  The prefix is skipped when that bound is
-    (a, b) above the best value so far, or (c) equal to it while no
-    completion can be lexicographically smaller than the best witness
-    (_beaten).  A skipped prefix counts its admitted completions: the
-    unlock table is a forest (each edge has at most one unlocker), so they
-    number left! / prod(size[k]) over the unplaced edges k, with size[k]
-    the size of k's subtree (the hook-length formula for forests); that
-    product is carried down and divided by size[j] when j is placed.  With
-    no unlocks every size is 1, and the count is left!."""
+    After an edge is placed at `rank`, with `left` = q - rank edges to
+    come, the final value is at least max(top label, ceil((label sum +
+    2*left) / n)), since every edge raises the label sum by at least 2.
+    The prefix is skipped when that bound is (a, b) above the best value so
+    far, or (c) equal to it while no completion can be lexicographically
+    smaller than the best witness (_beaten)."""
     n, endpoints, start, avail, unlocks = task
     q = len(endpoints)
     if len(start) >= q - 1:  # at most one edge left: one order
@@ -155,21 +147,12 @@ def _search(task) -> tuple[int, tuple[int, ...], int]:
     w = [0] * q  # weight buffer: 0 marks an unplaced edge, so a level resets its edge on the way up
     for rank, j in enumerate(start, 1):
         w[j] = rank
-    forest = list(avail)  # the unplaced edges, each after its unlocker
-    for j in forest:
-        forest.extend(unlocks[j])
-    size = [1] * q
-    for j in reversed(forest):
-        for k in unlocks[j]:
-            size[j] += size[k]
-    fact = [math.factorial(k) for k in range(q + 1)]
-    best, best_w, examined = q + 1, None, 0
+    best, best_w = q + 1, None
 
-    def place(avail, rank, top, total, hook):
+    def place(avail, rank, top, total):
         """Place each available edge at `rank`; two or more edges are left.
-        top and total are the labels' maximum and sum, and hook is the
-        product of the subtree sizes of the unplaced edges."""
-        nonlocal best, best_w, examined
+        top and total are the labels' maximum and sum."""
+        nonlocal best, best_w
         left = q - rank
         for i, j in enumerate(avail):
             u, v = endpoints[j]
@@ -190,10 +173,8 @@ def _search(task) -> tuple[int, tuple[int, ...], int]:
                 bound = -(-(s + 2 * left) // n)
                 if bound < t:
                     bound = t
-                if bound > best or (bound == best and _beaten(w, best_w, rank)):
-                    examined += fact[left] // (hook // size[j])
-                else:
-                    place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, t, s, hook // size[j])
+                if not (bound > best or (bound == best and _beaten(w, best_w, rank))):
+                    place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, t, s)
             else:  # fold the last edge in place
                 k = (avail[:i] + avail[i + 1 :] + unlocks[j])[0]
                 a, b = endpoints[k]
@@ -201,7 +182,6 @@ def _search(task) -> tuple[int, tuple[int, ...], int]:
                 value = lb + 1 if lb >= la else la + 1
                 if value < t:
                     value = t
-                examined += 1
                 if value <= best:
                     w[k] = q
                     wt = tuple(w)
@@ -211,9 +191,9 @@ def _search(task) -> tuple[int, tuple[int, ...], int]:
             w[j] = 0
             labels[u], labels[v] = lu, lv
 
-    place(avail, len(start) + 1, max(labels), sum(labels), math.prod(size[j] for j in forest))
+    place(avail, len(start) + 1, max(labels), sum(labels))
     del place  # place refers to itself through its closure cell; emptying the cell breaks the cycle
-    return best, best_w, examined
+    return best, best_w
 
 
 def _beaten(w, best_w, rank) -> bool:
@@ -226,7 +206,7 @@ def _beaten(w, best_w, rank) -> bool:
     return True
 
 
-def _scan(task) -> tuple[int, tuple[int, ...], int]:
+def _scan(task) -> tuple[int, tuple[int, ...]]:
     """Evaluate one task (n, endpoints, orders): each order is folded from
     zero labels.  Returns what _search returns; orders must not be empty."""
     n, endpoints, orders = task
@@ -250,7 +230,7 @@ def _scan(task) -> tuple[int, tuple[int, ...], int]:
             wt = tuple(w)
             if value < best or wt < best_w:
                 best, best_w = value, wt
-    return best, best_w, len(orders)
+    return best, best_w
 
 
 def _reduce_tasks(n: int, endpoints):
@@ -291,18 +271,6 @@ def _sampled_tasks(n: int, endpoints, mode: Sampled, chunk: int):
         yield (n, endpoints, orders)
 
 
-def _merge(results) -> tuple[int, tuple[int, ...], int]:
-    """The least (value, witness) over the task results, and the summed count,
-    in one pass: a result is dropped once it has lost, so holding the results
-    of a long stream costs one witness, not one per task."""
-    best, examined = None, 0
-    for value, wvec, count in results:
-        examined += count
-        if best is None or (value, wvec) < best:
-            best = value, wvec
-    return (*best, examined)
-
-
 def min_over_weightings(
     structure: Structure,
     mode: Exhaustive | Sampled = Exhaustive(),
@@ -313,9 +281,11 @@ def min_over_weightings(
 
     Exhaustive mode covers all q! weightings (guarded at q <= 10), or one
     canonical representative per relabeling orbit when reduce_symmetry is
-    set and the structure is complete with n >= 3 (reduction is silently
-    disabled otherwise).  Sampled mode draws `count` uniform weight
-    permutations from the given seed via Fisher-Yates (random.Random).
+    set and the structure is complete with n >= 3 (reduction factor 1
+    otherwise, and always in Sampled mode).  Sampled mode draws `count`
+    uniform weight permutations from the given seed via Fisher-Yates
+    (random.Random).  `examined` is the number of weightings the run
+    covers: q!, q!/n! reduced, or `count`.
     Results, including the witness, are identical for any `jobs` >= 1;
     at most min(jobs, usable CPUs, tasks) worker processes are started.
     """
@@ -347,12 +317,12 @@ def min_over_weightings(
         chunk = max(1, min(SAMPLE_CHUNK, SAMPLE_ENTRIES // max(1, q), mode.count // (4 * jobs)))
         tasks = _sampled_tasks(n, endpoints, mode, chunk)
         engine, n_tasks = _scan, -(-mode.count // chunk)
-    best, best_w, examined = _run_tasks(engine, tasks, n_tasks, jobs)
+    best, best_w = _run_tasks(engine, tasks, n_tasks, jobs)
 
     return ExtremalReport(
         structure=structure,
         mode=mode,
-        examined=examined,
+        examined=mode.count if isinstance(mode, Sampled) else math.factorial(q) // reduction_factor,
         minimum=best,
         witness=best_w,
         reduction_factor=reduction_factor,
@@ -365,19 +335,19 @@ def _pool_size(jobs: int, cpus: int, tasks: int) -> int:
     return min(jobs, cpus, tasks)
 
 
-def _run_tasks(engine, tasks, n_tasks: int, jobs: int) -> tuple[int, tuple[int, ...], int]:
-    """engine over each task, merged.  A lazy task stream is read as tasks
-    are handed out, and each result is merged as it arrives, so neither is
-    held whole, here or with a pool.  A pool forks where it can; engines and
-    tasks are module-level and picklable, so the default start method works
-    too."""
+def _run_tasks(engine, tasks, n_tasks: int, jobs: int) -> tuple[int, tuple[int, ...]]:
+    """The least (value, witness) of engine over each task.  A lazy task
+    stream is read as tasks are handed out, and min keeps only the best
+    result so far, so neither is held whole, here or with a pool.  A pool
+    forks where it can; engines and tasks are module-level and picklable,
+    so the default start method works too."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = _pool_size(jobs, cpus or 1, n_tasks)
     if size == 1:
-        return _merge(map(engine, tasks))
+        return min(map(engine, tasks))
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     with multiprocessing.get_context(method).Pool(processes=size) as pool:
-        return _merge(pool.imap(engine, tasks))
+        return min(pool.imap(engine, tasks))
 
 
 def check_lower_bound(g: WeightedGraph) -> TrailReport:

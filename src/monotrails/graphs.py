@@ -39,6 +39,7 @@ from .errors import (
     DuplicateWeightError,
     EdgeListParseError,
     GraphValidationError,
+    InvalidEdgeCountError,
     InvalidGraphError,
     InvalidVertexCountError,
     NonPositiveWeightError,
@@ -259,6 +260,8 @@ def random_graph(n: int, m: int, seed: int) -> WeightedGraph:
         raise InvalidVertexCountError(
             f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
         )
+    if m < 0:
+        raise InvalidEdgeCountError(f"edge count must be >= 0, got {m}")
     total = n * (n - 1) // 2
     if m > total:
         raise TooManyEdgesError(f"{m} edges requested, K_{n} has only {total}")

@@ -17,8 +17,9 @@ incumbent witness so results are deterministic.
 
 run_labeling_sorted, longest_ordered_trail, label_state_at, get_label and
 final_label_lengths share one private fold, _fold, over ranked_edges: the
-graph's kept rank order when its weights are 1..q, else one sort.  The extremal search, which folds millions of orders, writes out
-labels-only copies of the update: per level of its depth-first walk in
+graph's kept rank order when its weights are 1..q, else one sort.  The
+extremal search, which folds millions of orders, writes out labels-only
+copies of the update: per level of its depth-first walk in
 extremal._search, and per sampled order in extremal._scan.  _fold keeps
 each witness as a shared-tail cons cell, ((u, v), rest) or None for the
 empty trail, so an improvement costs O(1) instead of a copy of the trail;

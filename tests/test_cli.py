@@ -375,6 +375,12 @@ class TestExtremal:
         code, out, err = run_cli(capsys, "extremal", "--complete", "3", "--sample", "5")
         assert code == 2 and out == "" and "jobs must be >= 1" in err
 
+    def test_non_integer_trail_jobs_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRAIL_JOBS", "x")
+        code, out, err = run_cli(capsys, "extremal", "--complete", "3", "--exhaustive")
+        assert (code, out) == (2, "")
+        assert err == "error: TRAIL_JOBS must be an integer, got 'x'\n"
+
 
 class TestGen:
     def test_round_trip(self, capsys, tmp_path):
@@ -398,6 +404,11 @@ class TestGen:
         assert run.returncode == 0 and run.stderr == ""
         g = parse_edge_list(run.stdout)
         assert g.n == 200000 and g.q == 10
+
+    def test_random_negative_edge_count_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--random", "5", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: edge count must be >= 0, got -1\n"
 
     def test_random_vertex_count_above_the_limit_exits_2(self, capsys):
         # Refused before any pair is drawn, so no child process is needed; a

@@ -33,6 +33,7 @@ from monotrails.errors import (
     DuplicateWeightError,
     EdgeListParseError,
     GraphValidationError,
+    InvalidEdgeCountError,
     InvalidGraphError,
     InvalidVertexCountError,
     NonPositiveWeightError,
@@ -326,6 +327,10 @@ class TestRandomGraph:
     def test_rejects_zero_vertices(self):
         with pytest.raises(InvalidVertexCountError):
             random_graph(0, 0, 0)
+
+    def test_rejects_a_negative_edge_count(self):
+        with pytest.raises(InvalidEdgeCountError, match=r"^edge count must be >= 0, got -1$"):
+            random_graph(5, -1, 0)
 
     def test_different_seeds_usually_differ(self):
         assert any(random_graph(6, 9, 0) != random_graph(6, 9, s) for s in range(1, 5))

@@ -31,12 +31,14 @@ class RunConfig:
 
 def parse_config(argv=None) -> RunConfig:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=5, help="largest complete graph (<= 5)")
+    parser.add_argument("--max-n", type=int, default=5, help="largest complete graph (3 to 5)")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     parser.add_argument("--reduce", action="store_true", help="quotient by relabeling symmetry")
     args = parser.parse_args(argv)
     if args.max_n > 5:
         parser.error("the exhaustive guard caps complete graphs at n=5 (q=10)")
+    if args.max_n < 3:
+        parser.error(f"--max-n must be >= 3 (the table starts at K3), got {args.max_n}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     return RunConfig(max_n=args.max_n, jobs=args.jobs, reduce_symmetry=args.reduce)

@@ -14,9 +14,14 @@ reduced runs go depth-first through _search: a task folds a start prefix
 once, then places one available edge per level, changing only the two
 labels it touches and restoring them on the way back, so orders share the
 fold of their common prefix.  Placing an edge makes the edges its unlock
-table entry lists available; exhaustive mode has one task per edge of
-weight 1 and no unlocks.  Sampled mode streams: _scan folds each order of
-a chunk drawn lazily from one seeded stream from zero labels.
+table entry lists available.  Exhaustive mode has no unlocks and one task
+per edge of weight 1: edge 0, and each edge outside edge 0's orbit under
+the vertex automorphisms.  A relabeling that carries edge j onto edge 0
+keeps every trail length, so task j's minimum is task 0's; and each of its
+weightings has w[0] >= 2, so it loses to task 0's witness at position 0.
+Sampled mode streams: _scan folds each order of a chunk drawn lazily from
+one seeded stream from zero labels, and stops an order whose labels pass
+the best value so far.
 
 _search is a branch and bound.  It skips a prefix whose lower bound, the
 larger of its top label and ceil((label sum + 2 * edges left) / n), is
@@ -55,7 +60,7 @@ from .errors import ExhaustiveTooLargeError, InvalidStructureError, TooManyEdges
 from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import Order, TrailReport, _fold, longest_ordered_trail
 
-EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 takes about a second
+EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 is one task, about 0.1 s
 SAMPLE_CHUNK = 4096  # sampled orders per task, so a large count streams
 SAMPLE_ENTRIES = 1 << 17  # order entries (orders x q) per task, so a long order streams too
 
@@ -208,7 +213,9 @@ def _beaten(w, best_w, rank) -> bool:
 
 def _scan(task) -> tuple[int, tuple[int, ...]]:
     """Evaluate one task (n, endpoints, orders): each order is folded from
-    zero labels.  Returns what _search returns; orders must not be empty."""
+    zero labels, and left as soon as a label passes the best value so far,
+    since it can then neither win nor tie.  Returns what _search returns;
+    orders must not be empty."""
     n, endpoints, orders = task
     w = [0] * len(endpoints)
     best = len(endpoints) + 1
@@ -219,18 +226,68 @@ def _scan(task) -> tuple[int, tuple[int, ...]]:
             u, v = endpoints[j]
             lu = labels[u]
             lv = labels[v]
-            if lv >= lu:
+            if lv > lu:
+                if lv >= best:
+                    break
                 labels[u] = lv + 1
-            if lu >= lv:
+            elif lu > lv:
+                if lu >= best:
+                    break
                 labels[v] = lu + 1
-        value = max(labels)
-        if value <= best:
-            for rank, j in enumerate(order, 1):
-                w[j] = rank
-            wt = tuple(w)
-            if value < best or wt < best_w:
-                best, best_w = value, wt
+            elif lu >= best:
+                break
+            else:
+                labels[u] = labels[v] = lu + 1
+        else:
+            value = max(labels)
+            if value <= best:
+                for rank, j in enumerate(order, 1):
+                    w[j] = rank
+                wt = tuple(w)
+                if value < best or wt < best_w:
+                    best, best_w = value, wt
     return best, best_w
+
+
+def _maps_onto(n: int, endpoints, e: int, f: int) -> bool:
+    """Whether some vertex automorphism of the structure carries edge e
+    onto edge f.  Backtracks over the non-isolated vertices, e's ends
+    first, giving each an unused image of its degree whose adjacency to
+    the images so far matches its own to the vertices mapped so far."""
+    adj = [set() for _ in range(n)]
+    for u, v in endpoints:
+        adj[u].add(v)
+        adj[v].add(u)
+    (a, b), (c, d) = endpoints[e], endpoints[f]
+    order = [a, b] + [v for v in range(n) if adj[v] and v != a and v != b]
+    stack = [()]  # partial maps: the images of order[:k]
+    while stack:
+        images = stack.pop()
+        k = len(images)
+        if k == len(order):
+            return True
+        v = order[k]
+        stack += [
+            images + (t,)
+            for t in ((c, d) if k < 2 else order)
+            if t not in images
+            and len(adj[t]) == len(adj[v])
+            and all((x in adj[v]) == (y in adj[t]) for x, y in zip(order, images))
+        ]
+    return False
+
+
+def _first_edge_tasks(n: int, endpoints):
+    """The exhaustive tasks, one per edge j of weight 1, for edge 0 and
+    every edge no automorphism carries onto edge 0; with no edges, one
+    task of the empty order."""
+    q = len(endpoints)
+    unlocks = ((),) * q
+    return [
+        (n, endpoints, (j,), tuple(range(j)) + tuple(range(j + 1, q)), unlocks)
+        for j in range(q)
+        if j == 0 or not _maps_onto(n, endpoints, j, 0)
+    ] or [(n, endpoints, (), (), unlocks)]
 
 
 def _reduce_tasks(n: int, endpoints):
@@ -259,14 +316,13 @@ def _sampled_tasks(n: int, endpoints, mode: Sampled, chunk: int):
         orders = []
         for _ in range(min(chunk, mode.count - lo)):
             w = list(range(q))
+            order = [0] * q  # position 0 needs no step: order[w[0]] keeps its 0
             for i, k in steps:
                 r = getrandbits(k)
                 while r > i:
                     r = getrandbits(k)
-                w[i], w[r] = w[r], w[i]
-            order = [0] * q
-            for j in range(q):
-                order[w[j]] = j
+                order[w[r]] = i  # the swap puts w[r] at i for good; w[i] is never read again
+                w[r] = w[i]
             orders.append(order)
         yield (n, endpoints, orders)
 
@@ -304,12 +360,8 @@ def min_over_weightings(
         if reduce_symmetry and structure.is_complete and n >= 3:
             reduction_factor = math.factorial(n)
             tasks = _reduce_tasks(n, endpoints)
-        else:  # one task per edge of weight 1; no edges, one empty order
-            unlocks = ((),) * q
-            tasks = [
-                (n, endpoints, (j,), tuple(range(j)) + tuple(range(j + 1, q)), unlocks)
-                for j in range(q)
-            ] or [(n, endpoints, (), (), unlocks)]
+        else:
+            tasks = _first_edge_tasks(n, endpoints)
         engine, n_tasks = _search, len(tasks)
     else:
         if mode.count < 1:

@@ -35,8 +35,21 @@ from monotrails import (
 from monotrails import extremal
 from monotrails.errors import ExhaustiveTooLargeError, InvalidGraphError, InvalidStructureError
 from monotrails.graphs import Mode, WeightedGraph
+from monotrails.labeling import _fold
 
 from strategies import strict_graphs
+
+
+# No automorphism moves its diagonal (v1,v2), so each of its 5 edges keeps a
+# first-edge task and a pool has several tasks to share.
+K4_MINUS_AN_EDGE = Structure(n=4, edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
+C4 = Structure(n=4, edges=((0, 1), (0, 3), (1, 2), (2, 3)))
+C5 = Structure(n=5, edges=((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)))
+K13 = Structure(n=4, edges=((0, 1), (0, 2), (0, 3)))
+K23 = Structure(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)))
+PAW = Structure(n=4, edges=((0, 1), (0, 2), (1, 2), (2, 3)))  # a triangle with a pendant edge
+TWO_TRIANGLES = Structure(n=6, edges=((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+P4 = Structure(n=4, edges=((0, 1), (1, 2), (2, 3)))
 
 
 def oracle_min_over_weightings(n: int) -> tuple[int, tuple[int, ...]]:
@@ -147,9 +160,9 @@ class TestMinOverWeightingsExhaustive:
         assert extremal._pool_size(jobs, cpus, tasks) == size
 
     def test_jobs_do_not_change_the_report(self):
-        serial = min_over_weightings(complete_structure(4), jobs=1)
+        serial = min_over_weightings(K4_MINUS_AN_EDGE, jobs=1)
         for jobs in (2, 3, 5):
-            parallel = min_over_weightings(complete_structure(4), jobs=jobs)
+            parallel = min_over_weightings(K4_MINUS_AN_EDGE, jobs=jobs)
             assert (parallel.minimum, parallel.witness, parallel.examined) == (
                 serial.minimum,
                 serial.witness,
@@ -170,9 +183,9 @@ class TestMinOverWeightingsExhaustive:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
         monkeypatch.setattr(extremal, "_pool_size", lambda jobs, cpus, tasks: min(jobs, tasks))
-        serial = min_over_weightings(complete_structure(4), mode=mode, jobs=1)
+        serial = min_over_weightings(K4_MINUS_AN_EDGE, mode=mode, jobs=1)
         assert asked == []
-        pooled = min_over_weightings(complete_structure(4), mode=mode, jobs=2)
+        pooled = min_over_weightings(K4_MINUS_AN_EDGE, mode=mode, jobs=2)
         assert asked == [None]
         assert (pooled.minimum, pooled.witness, pooled.examined) == (
             serial.minimum,
@@ -217,6 +230,12 @@ class TestPruningAgainstTheOrderStream:
     @example(Structure(n=7, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6))))
     # A weight left in the buffer by a finished level would change this one's witness.
     @example(Structure(n=5, edges=((0, 3), (0, 4), (1, 3), (2, 3), (2, 4))))
+    # Edge-transitive structures run one task; the paw runs several.
+    @example(C4)
+    @example(C5)
+    @example(K13)
+    @example(K23)
+    @example(PAW)
     def test_exhaustive_search_equals_scanning_every_order(self, s):
         scanned = extremal._scan((s.n, s.edges, list(permutations(range(s.q)))))
         report = min_over_weightings(s)
@@ -231,6 +250,70 @@ class TestPruningAgainstTheOrderStream:
             _, endpoints, start, avail, unlocks = task
             orders = list(admitted_orders(tuple(start), avail, unlocks))
             assert extremal._search(task) == extremal._scan((n, endpoints, orders))
+
+
+def carried_edge_pairs(s: Structure) -> set[tuple[int, int]]:
+    """Every (e, f) such that some vertex permutation maps the edge set onto
+    itself and edge e onto edge f, tried over all n! permutations."""
+    index = {k: i for i, k in enumerate(s.edges)}
+    pairs = set()
+    for sigma in permutations(range(s.n)):
+        image = [index.get(tuple(sorted((sigma[a], sigma[b])))) for a, b in s.edges]
+        if None not in image:
+            pairs.update(enumerate(image))
+    return pairs
+
+
+def kept_first_edges(s: Structure) -> list[int]:
+    return [task[2][0] for task in extremal._first_edge_tasks(s.n, s.edges)]
+
+
+class TestFirstEdgeOrbit:
+    """Exhaustive runs keep edge 0's task and the tasks of the edges no
+    automorphism carries onto edge 0."""
+
+    @pytest.mark.parametrize(
+        "s",
+        [complete_structure(3), complete_structure(4), complete_structure(5),
+         C4, C5, K13, K23, TWO_TRIANGLES],
+        ids=["K3", "K4", "K5", "C4", "C5", "K13", "K23", "two-triangles"],
+    )
+    def test_an_edge_transitive_structure_runs_one_task(self, s):
+        assert all(extremal._maps_onto(s.n, s.edges, j, 0) for j in range(s.q))
+        assert kept_first_edges(s) == [0]
+
+    def test_a_path_drops_the_end_edge_its_reversal_carries_onto_edge_0(self):
+        assert kept_first_edges(P4) == [0, 1]
+
+    @pytest.mark.parametrize("s", [PAW, K4_MINUS_AN_EDGE], ids=["paw", "K4-e"])
+    def test_a_structure_with_several_edge_orbits_keeps_several_tasks(self, s):
+        assert len(kept_first_edges(s)) > 1
+
+    def test_isolated_vertices_change_nothing(self):
+        for s in (P4, PAW, C4, K4_MINUS_AN_EDGE):
+            padded = Structure(n=s.n + 3, edges=s.edges)
+            assert kept_first_edges(padded) == kept_first_edges(s)
+            shifted = Structure(n=s.n + 2, edges=tuple((a + 2, b + 2) for a, b in s.edges))
+            assert kept_first_edges(shifted) == kept_first_edges(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_structures(max_n=5, max_q=10))
+    # Edges (0,2) and (2,3) both join a vertex of degree 2 to one of degree 3,
+    # but only (2,3) is a bridge: degrees alone would carry one onto the other.
+    @example(Structure(n=5, edges=((0, 1), (0, 2), (1, 2), (2, 3), (3, 4))))
+    def test_maps_onto_agrees_with_trying_every_permutation(self, s):
+        carried = carried_edge_pairs(s)
+        for e in range(s.q):
+            for f in range(s.q):
+                assert extremal._maps_onto(s.n, s.edges, e, f) == ((e, f) in carried)
+
+    def test_k5_exhaustive_starts_no_pool(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        report = min_over_weightings(complete_structure(5), jobs=2)
+        assert (report.minimum, report.examined) == (5, math.factorial(10))
 
 
 class TestSymmetryReduction:
@@ -301,6 +384,20 @@ class TestSymmetryReduction:
             for jobs in (1, 2, 3)
         ]
         assert len({(r.minimum, r.witness, r.examined) for r in reports}) == 1
+
+
+def folded(n, endpoints, orders) -> tuple[int, tuple[int, ...]]:
+    """The least (value, weight vector) over orders, each folded in full by
+    the label kernel: _scan's reference, with no early exit."""
+    best = None
+    for order in orders:
+        w = [0] * len(endpoints)
+        for rank, j in enumerate(order, 1):
+            w[j] = rank
+        candidate = (max(_fold(n, [endpoints[j] for j in order])[0]), tuple(w))
+        if best is None or candidate < best:
+            best = candidate
+    return best
 
 
 class TestSampled:
@@ -405,17 +502,32 @@ class TestSampled:
         assert most[0] <= 3  # the best so far, the last and the newest: not one per task
 
     @pytest.mark.parametrize("seed", [0, 3, 2024])
-    @pytest.mark.parametrize("q", [1, 2, 3, 8, 21])
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 8, 10, 21])
     def test_sampled_orders_invert_random_shuffle(self, q, seed):
         rng = random.Random(seed)
-        expected = []
+        shuffles = []
         for _ in range(40):
             w = list(range(q))
             rng.shuffle(w)
-            expected.append(sorted(range(q), key=w.__getitem__))
+            shuffles.append(w)
         path = tuple((i, i + 1) for i in range(q))
         tasks = extremal._sampled_tasks(q + 1, path, Sampled(count=40, seed=seed), 16)
-        assert [list(order) for task in tasks for order in task[2]] == expected
+        orders = [order for task in tasks for order in task[2]]
+        assert len(orders) == len(shuffles)
+        for order, w in zip(orders, shuffles):
+            assert [order[w[i]] for i in range(q)] == list(range(q))
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_scan_equals_folding_each_sampled_order(self, n):
+        edges = complete_structure(n).edges
+        for task in extremal._sampled_tasks(n, edges, Sampled(count=1500, seed=n), 500):
+            assert extremal._scan(task) == folded(*task)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_structures(max_n=7, max_q=8), st.data())
+    def test_scan_equals_folding_each_order(self, s, data):
+        orders = data.draw(st.lists(st.permutations(range(s.q)), min_size=1, max_size=40))
+        assert extremal._scan((s.n, s.edges, orders)) == folded(s.n, s.edges, orders)
 
     def test_works_beyond_the_exhaustive_guard(self):
         report = min_over_weightings(complete_structure(6), mode=Sampled(count=20, seed=0))

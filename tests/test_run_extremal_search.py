@@ -25,3 +25,13 @@ def test_jobs_below_one_exit_2(capsys):
         run_extremal_search.main(["--jobs", "0"])
     assert exc.value.code == 2
     assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_n", ["2", "1", "0", "-4"])
+def test_max_n_below_three_exit_2(capsys, max_n):
+    with pytest.raises(SystemExit) as exc:
+        run_extremal_search.main(["--max-n", max_n])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--max-n must be >= 3 (the table starts at K3), got {max_n}" in captured.err
+    assert captured.out == ""  # no empty table

@@ -83,7 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one weighting per relabeling orbit; acts only on --exhaustive runs of K_n "
         "with n >= 3 (reduction factor 1 otherwise)",
     )
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: $TRAIL_JOBS or 1)")
+    p.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes, plain --exhaustive runs only (default: $TRAIL_JOBS or 1)",
+    )
     p.add_argument("--timing", action="store_true", help="include measured elapsed_ms in JSON output")
     p.add_argument("--json", action="store_true")
     add_mode(p)

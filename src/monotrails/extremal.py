@@ -19,12 +19,15 @@ per edge of weight 1: edge 0, and each edge outside edge 0's orbit under
 the vertex automorphisms.  A relabeling that carries edge j onto edge 0
 keeps every trail length, so task j's minimum is task 0's; and each of its
 weightings has w[0] >= 2, so it loses to task 0's witness at position 0.
-Sampled mode streams: _scan folds each order of a chunk drawn lazily from
-one seeded stream from zero labels, and stops an order whose labels pass
-the best value so far.
+Only these tasks go to workers; the reduced search is one task of
+milliseconds.  Sampled mode folds in the calling process, which alone can
+draw its one seeded stream: _scan folds each order, drawn just before,
+from zero labels, and leaves it once a label passes the best value.  The m
+vertices with edges are renumbered 0..m-1 in ascending order first, which
+keeps the edge order and every witness, so isolated vertices cost nothing.
 
 _search is a branch and bound.  It skips a prefix whose lower bound, the
-larger of its top label and ceil((label sum + 2 * edges left) / n), is
+larger of its top label and ceil((label sum + 2 * edges left) / m), is
 above the best value so far, or equals it while no completion can beat
 the best witness lexicographically.  The engines return only the value
 and its witness; the report's `examined` is the size of the space the
@@ -43,7 +46,7 @@ remaining vertices by their weight to v1:
 
 The canonical orders are exactly those that respect one unlock table: hub
 (v1,x) unlocks (v1,x+1), and (v1,v3) also unlocks every rival (v2,x).
-One task per second edge yields q!/n! orders in all, none filtered.
+One task, edge (v1,v2) first, yields q!/n! orders in all, none filtered.
 """
 
 from __future__ import annotations
@@ -61,8 +64,6 @@ from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import Order, TrailReport, _fold, longest_ordered_trail
 
 EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 is one task, about 0.1 s
-SAMPLE_CHUNK = 4096  # sampled orders per task, so a large count streams
-SAMPLE_ENTRIES = 1 << 17  # order entries (orders x q) per task, so a long order streams too
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
     n, endpoints, start, avail, unlocks = task
     q = len(endpoints)
     if len(start) >= q - 1:  # at most one edge left: one order
-        return _scan((n, endpoints, [start + avail]))
+        return _scan(n, endpoints, [start + avail])
     labels = _fold(n, [endpoints[j] for j in start])[0]
     w = [0] * q  # weight buffer: 0 marks an unplaced edge, so a level resets its edge on the way up
     for rank, j in enumerate(start, 1):
@@ -211,12 +212,11 @@ def _beaten(w, best_w, rank) -> bool:
     return True
 
 
-def _scan(task) -> tuple[int, tuple[int, ...]]:
-    """Evaluate one task (n, endpoints, orders): each order is folded from
-    zero labels, and left as soon as a label passes the best value so far,
-    since it can then neither win nor tie.  Returns what _search returns;
-    orders must not be empty."""
-    n, endpoints, orders = task
+def _scan(n: int, endpoints, orders) -> tuple[int, tuple[int, ...]]:
+    """Fold each order, an iterable read once, from zero labels, leaving it
+    as soon as a label passes the best value so far, since it can then
+    neither win nor tie.  Returns what _search returns; orders must not be
+    empty."""
     w = [0] * len(endpoints)
     best = len(endpoints) + 1
     best_w: tuple[int, ...] | None = None
@@ -251,15 +251,15 @@ def _scan(task) -> tuple[int, tuple[int, ...]]:
 
 def _maps_onto(n: int, endpoints, e: int, f: int) -> bool:
     """Whether some vertex automorphism of the structure carries edge e
-    onto edge f.  Backtracks over the non-isolated vertices, e's ends
-    first, giving each an unused image of its degree whose adjacency to
-    the images so far matches its own to the vertices mapped so far."""
+    onto edge f.  Backtracks over the vertices, e's ends first, giving
+    each an unused image of its degree whose adjacency to the images so
+    far matches its own to the vertices mapped so far."""
     adj = [set() for _ in range(n)]
     for u, v in endpoints:
         adj[u].add(v)
         adj[v].add(u)
     (a, b), (c, d) = endpoints[e], endpoints[f]
-    order = [a, b] + [v for v in range(n) if adj[v] and v != a and v != b]
+    order = [a, b] + [v for v in range(n) if v != a and v != b]
     stack = [()]  # partial maps: the images of order[:k]
     while stack:
         images = stack.pop()
@@ -290,41 +290,33 @@ def _first_edge_tasks(n: int, endpoints):
     ] or [(n, endpoints, (), (), unlocks)]
 
 
-def _reduce_tasks(n: int, endpoints):
-    """The --reduce tasks of K_n, one per second edge after (v1,v2), over
-    the unlock table that admits exactly the canonical orders."""
+def _reduce_task(n: int, endpoints):
+    """The --reduce task of K_n: edge (v1,v2) first, then the unlock table
+    that admits exactly the canonical orders."""
     q = len(endpoints)
     unlocks = [()] * q
     for h in range(1, n - 2):  # hub (v1,v(h+2)) is edge h
         unlocks[h] = (h + 1,)
     unlocks[1] += tuple(range(n - 1, 2 * n - 3))  # the rivals (v2,x)
-    first = (1, *range(2 * n - 3, q))
-    return [
-        (n, endpoints, (0, j), first[:i] + first[i + 1 :] + unlocks[j], unlocks)
-        for i, j in enumerate(first)
-    ]
+    return (n, endpoints, (0,), (1, *range(2 * n - 3, q)), unlocks)
 
 
-def _sampled_tasks(n: int, endpoints, mode: Sampled, chunk: int):
-    """Chunks of sampled orders, built lazily: order i inverts the i-th
-    Fisher-Yates shuffle of one seeded stream, whatever the chunk size.
-    The draws are random.shuffle's own, written out."""
+def _sampled_orders(q: int, mode: Sampled):
+    """The sampled orders, drawn lazily: order i inverts the i-th
+    Fisher-Yates shuffle of one seeded stream.  The draws are
+    random.shuffle's own, written out."""
     getrandbits = random.Random(mode.seed).getrandbits
-    q = len(endpoints)
     steps = [(i, (i + 1).bit_length()) for i in range(q - 1, 0, -1)]
-    for lo in range(0, mode.count, chunk):
-        orders = []
-        for _ in range(min(chunk, mode.count - lo)):
-            w = list(range(q))
-            order = [0] * q  # position 0 needs no step: order[w[0]] keeps its 0
-            for i, k in steps:
+    for _ in range(mode.count):
+        w = list(range(q))
+        order = [0] * q  # position 0 needs no step: order[w[0]] keeps its 0
+        for i, k in steps:
+            r = getrandbits(k)
+            while r > i:
                 r = getrandbits(k)
-                while r > i:
-                    r = getrandbits(k)
-                order[w[r]] = i  # the swap puts w[r] at i for good; w[i] is never read again
-                w[r] = w[i]
-            orders.append(order)
-        yield (n, endpoints, orders)
+            order[w[r]] = i  # the swap puts w[r] at i for good; w[i] is never read again
+            w[r] = w[i]
+        yield order
 
 
 def min_over_weightings(
@@ -342,34 +334,35 @@ def min_over_weightings(
     uniform weight permutations from the given seed via Fisher-Yates
     (random.Random).  `examined` is the number of weightings the run
     covers: q!, q!/n! reduced, or `count`.
-    Results, including the witness, are identical for any `jobs` >= 1;
-    at most min(jobs, usable CPUs, tasks) worker processes are started.
+    Results, including the witness, are identical for any `jobs` >= 1.
+    Only plain exhaustive runs start workers, at most min(jobs, usable
+    CPUs, tasks); sampled and reduced runs search in the calling process.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    n, endpoints, q = structure.n, structure.edges, structure.q
     t0 = time.perf_counter()
-    reduction_factor = 1
-
-    if isinstance(mode, Exhaustive):
-        if q > EXHAUSTIVE_MAX_EDGES:
-            raise ExhaustiveTooLargeError(
-                f"q={q} exceeds the exhaustive guard of {EXHAUSTIVE_MAX_EDGES}; "
-                "use Sampled mode"
-            )
-        if reduce_symmetry and structure.is_complete and n >= 3:
-            reduction_factor = math.factorial(n)
-            tasks = _reduce_tasks(n, endpoints)
-        else:
-            tasks = _first_edge_tasks(n, endpoints)
-        engine, n_tasks = _search, len(tasks)
-    else:
+    q = structure.q
+    if isinstance(mode, Sampled):
         if mode.count < 1:
             raise ValueError(f"sample count must be >= 1, got {mode.count}")
-        chunk = max(1, min(SAMPLE_CHUNK, SAMPLE_ENTRIES // max(1, q), mode.count // (4 * jobs)))
-        tasks = _sampled_tasks(n, endpoints, mode, chunk)
-        engine, n_tasks = _scan, -(-mode.count // chunk)
-    best, best_w = _run_tasks(engine, tasks, n_tasks, jobs)
+    elif q > EXHAUSTIVE_MAX_EDGES:
+        raise ExhaustiveTooLargeError(
+            f"q={q} exceeds the exhaustive guard of {EXHAUSTIVE_MAX_EDGES}; use Sampled mode"
+        )
+    # Isolated vertices keep label 0: dropping them changes no label, and the slack bound holds.
+    used = sorted({v for edge in structure.edges for v in edge})
+    index = {v: i for i, v in enumerate(used)}
+    endpoints = tuple((index[a], index[b]) for a, b in structure.edges)
+    m = max(1, len(used))
+    reduction_factor = 1
+
+    if isinstance(mode, Sampled):
+        best, best_w = _scan(m, endpoints, _sampled_orders(q, mode))
+    elif reduce_symmetry and structure.is_complete and structure.n >= 3:
+        reduction_factor = math.factorial(structure.n)
+        best, best_w = _search(_reduce_task(m, endpoints))
+    else:
+        best, best_w = _run_tasks(_first_edge_tasks(m, endpoints), jobs)
 
     return ExtremalReport(
         structure=structure,
@@ -387,19 +380,18 @@ def _pool_size(jobs: int, cpus: int, tasks: int) -> int:
     return min(jobs, cpus, tasks)
 
 
-def _run_tasks(engine, tasks, n_tasks: int, jobs: int) -> tuple[int, tuple[int, ...]]:
-    """The least (value, witness) of engine over each task.  A lazy task
-    stream is read as tasks are handed out, and min keeps only the best
-    result so far, so neither is held whole, here or with a pool.  A pool
-    forks where it can; engines and tasks are module-level and picklable,
-    so the default start method works too."""
+def _run_tasks(tasks, jobs: int) -> tuple[int, tuple[int, ...]]:
+    """The least (value, witness) of _search over the exhaustive tasks; min
+    keeps only the best result so far.  A pool forks where it can; _search
+    and its tasks are module-level and picklable, so the default start
+    method works too."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = _pool_size(jobs, cpus or 1, n_tasks)
+    size = _pool_size(jobs, cpus or 1, len(tasks))
     if size == 1:
-        return min(map(engine, tasks))
+        return min(map(_search, tasks))
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     with multiprocessing.get_context(method).Pool(processes=size) as pool:
-        return min(pool.imap(engine, tasks))
+        return min(pool.imap(_search, tasks))
 
 
 def check_lower_bound(g: WeightedGraph) -> TrailReport:

@@ -359,6 +359,21 @@ class TestExtremal:
         doc = json.loads(run.stdout)
         assert doc["structure"]["complete"] is False and doc["f"] == 1
 
+    @pytest.mark.parametrize(
+        "how", [["--exhaustive"], ["--exhaustive", "--reduce"], ["--sample", "10"]],
+        ids=["exhaustive", "reduce", "sampled"],
+    )
+    def test_isolated_vertices_allocate_nothing(self, tmp_path, how):
+        # Ten million vertices, four of them with edges: no search buffer may
+        # grow with n, or 1 GiB runs out (exhaustive) or each order costs a
+        # list of n labels (sampled).
+        f = tmp_path / "sparse.txt"
+        f.write_text("p 10000000 2\ne 1 2 1\ne 3 4 2\n")
+        run = run_limited("extremal", "--file", str(f), *how, "--json")
+        assert (run.returncode, run.stderr) == (0, "")
+        doc = json.loads(run.stdout)
+        assert (doc["f"], doc["witness"]) == (1, [1, 2])
+
     def test_jobs_flag_and_env_default(self, capsys, monkeypatch):
         _, base, _ = run_cli(capsys, "extremal", "--complete", "4", "--exhaustive", "--json")
         _, with_jobs, _ = run_cli(

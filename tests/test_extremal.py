@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monotrails import (
-    Exhaustive,
     Order,
     Sampled,
     Structure,
@@ -92,13 +91,13 @@ def admitted_orders(start, avail, unlocks):
 def generated_weightings(n: int) -> list[tuple[int, ...]]:
     """Every order the reduced search folds for K_n, as a weight vector."""
     q = n * (n - 1) // 2
+    _, _, start, avail, unlocks = extremal._reduce_task(n, complete_structure(n).edges)
     out = []
-    for _, _, start, avail, unlocks in extremal._reduce_tasks(n, complete_structure(n).edges):
-        for order in admitted_orders(tuple(start), avail, unlocks):
-            w = [0] * q
-            for weight, j in enumerate(order, 1):
-                w[j] = weight
-            out.append(tuple(w))
+    for order in admitted_orders(start, avail, unlocks):
+        w = [0] * q
+        for weight, j in enumerate(order, 1):
+            w[j] = weight
+        out.append(tuple(w))
     return out
 
 
@@ -169,10 +168,10 @@ class TestMinOverWeightingsExhaustive:
                 serial.examined,
             )
 
-    @pytest.mark.parametrize("mode", [Exhaustive(), Sampled(count=64, seed=2)])
-    def test_a_pool_without_fork_gives_the_same_report(self, monkeypatch, mode):
+    @pytest.mark.parametrize("s", [K4_MINUS_AN_EDGE, PAW], ids=["K4-e", "paw"])
+    def test_a_pool_without_fork_gives_the_same_report(self, monkeypatch, s):
         # Where fork is missing the default context is used; spawn stands in
-        # for it here, so tasks and engines really cross a pickle boundary.
+        # for it here, so tasks and _search really cross a pickle boundary.
         real_get_context = multiprocessing.get_context
         asked = []
 
@@ -183,15 +182,45 @@ class TestMinOverWeightingsExhaustive:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
         monkeypatch.setattr(extremal, "_pool_size", lambda jobs, cpus, tasks: min(jobs, tasks))
-        serial = min_over_weightings(K4_MINUS_AN_EDGE, mode=mode, jobs=1)
+        serial = min_over_weightings(s, jobs=1)
         assert asked == []
-        pooled = min_over_weightings(K4_MINUS_AN_EDGE, mode=mode, jobs=2)
+        pooled = min_over_weightings(s, jobs=2)
         assert asked == [None]
         assert (pooled.minimum, pooled.witness, pooled.examined) == (
             serial.minimum,
             serial.witness,
             serial.examined,
         )
+
+    def test_task_results_are_merged_as_they_arrive(self, monkeypatch):
+        alive = [0]
+        most = [0]
+        tasks = []
+
+        class Witness(tuple):
+            def __del__(self):
+                alive[0] -= 1
+
+        def stub_search(task):
+            tasks.append(task)
+            alive[0] += 1
+            most[0] = max(most[0], alive[0])
+            return 3, Witness(task[2])
+
+        monkeypatch.setattr(extremal, "_search", stub_search)
+        report = min_over_weightings(K4_MINUS_AN_EDGE)
+        assert report.examined == math.factorial(5) and len(tasks) == 5
+        assert most[0] <= 3  # the best so far, the last and the newest: not one per task
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make starting a pool fail the test."""
+
+    def refuse(*args):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
 
 
 @st.composite
@@ -237,19 +266,26 @@ class TestPruningAgainstTheOrderStream:
     @example(K23)
     @example(PAW)
     def test_exhaustive_search_equals_scanning_every_order(self, s):
-        scanned = extremal._scan((s.n, s.edges, list(permutations(range(s.q)))))
+        scanned = extremal._scan(s.n, s.edges, permutations(range(s.q)))
         report = min_over_weightings(s)
         assert (report.minimum, report.witness) == scanned
         assert report.examined == math.factorial(s.q)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_each_reduced_task_decides_the_orders_it_admits(self, n):
-        # Per task, not merged: a prefix wrongly skipped in one task cannot
-        # hide behind another task's minimum or witness.
-        for task in extremal._reduce_tasks(n, complete_structure(n).edges):
-            _, endpoints, start, avail, unlocks = task
-            orders = list(admitted_orders(tuple(start), avail, unlocks))
-            assert extremal._search(task) == extremal._scan((n, endpoints, orders))
+        # The one task, and each of its second-edge branches on its own: a
+        # prefix wrongly skipped in one branch cannot hide behind another
+        # branch's minimum or witness.
+        task = _, endpoints, start, avail, unlocks = extremal._reduce_task(
+            n, complete_structure(n).edges
+        )
+        branches = [
+            (n, endpoints, start + (j,), avail[:i] + avail[i + 1 :] + unlocks[j], unlocks)
+            for i, j in enumerate(avail)
+        ]
+        for t in [task, *branches]:
+            orders = admitted_orders(*t[2:])
+            assert extremal._search(t) == extremal._scan(n, endpoints, orders)
 
 
 def carried_edge_pairs(s: Structure) -> set[tuple[int, int]]:
@@ -307,11 +343,7 @@ class TestFirstEdgeOrbit:
             for f in range(s.q):
                 assert extremal._maps_onto(s.n, s.edges, e, f) == ((e, f) in carried)
 
-    def test_k5_exhaustive_starts_no_pool(self, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    def test_k5_exhaustive_starts_no_pool(self, no_pool):
         report = min_over_weightings(complete_structure(5), jobs=2)
         assert (report.minimum, report.examined) == (5, math.factorial(10))
 
@@ -378,7 +410,8 @@ class TestSymmetryReduction:
         survivors = {w for w in ((1, *t) for t in permutations(range(2, q + 1))) if canonical(n, w)}
         assert set(generated) == survivors
 
-    def test_jobs_do_not_change_the_reduced_report(self):
+    def test_jobs_do_not_change_the_reduced_report(self, no_pool):
+        # One search of milliseconds: it runs in the calling process at any jobs.
         reports = [
             min_over_weightings(complete_structure(5), reduce_symmetry=True, jobs=jobs)
             for jobs in (1, 2, 3)
@@ -420,86 +453,41 @@ class TestSampled:
         g = complete_graph(4, list(report.witness))
         assert brute_force_longest(g).optimum == report.minimum
 
-    def test_jobs_do_not_change_the_report(self):
-        serial = min_over_weightings(complete_structure(4), mode=Sampled(count=64, seed=2))
-        parallel = min_over_weightings(
-            complete_structure(4), mode=Sampled(count=64, seed=2), jobs=3
-        )
-        assert (serial.minimum, serial.witness) == (parallel.minimum, parallel.witness)
+    def test_jobs_do_not_change_the_report(self, no_pool):
+        # The orders come from one seeded stream, so the calling process folds
+        # them at any jobs.
+        reports = [
+            min_over_weightings(complete_structure(6), mode=Sampled(count=500, seed=3), jobs=jobs)
+            for jobs in (1, 2, 3)
+        ]
+        assert len({(r.minimum, r.witness, r.examined) for r in reports}) == 1
 
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             min_over_weightings(complete_structure(3), mode=Sampled(count=0, seed=0))
 
-    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
-        mode = Sampled(count=300, seed=4)
-        default = min_over_weightings(complete_structure(5), mode=mode)
-        for cap, value in (("SAMPLE_CHUNK", 7), ("SAMPLE_ENTRIES", 50)):  # 7 and 5 orders
-            with monkeypatch.context() as patch:
-                patch.setattr(extremal, cap, value)
-                chunked = min_over_weightings(complete_structure(5), mode=mode)
-            assert (default.minimum, default.witness, default.examined) == (
-                chunked.minimum,
-                chunked.witness,
-                chunked.examined,
-            )
+    def test_order_k_is_drawn_just_before_it_is_folded(self, monkeypatch):
+        events = []
+        sampled_orders, scan = extremal._sampled_orders, extremal._scan
 
-    def test_a_serial_run_draws_one_chunk_at_a_time(self, monkeypatch):
-        drawn = []
-        scanned = []
-        sampled_tasks, scan = extremal._sampled_tasks, extremal._scan
+        def counting_orders(*args):
+            for order in sampled_orders(*args):
+                events.append("draw")
+                yield order
 
-        def counting_tasks(*args):
-            for task in sampled_tasks(*args):
-                drawn.append(len(task[2]))
-                yield task
+        def counting_scan(n, endpoints, orders):
+            def folded():
+                for order in orders:
+                    yield order
+                    events.append("fold")
 
-        def counting_scan(task):
-            scanned.append(len(drawn))
-            return scan(task)
+            return scan(n, endpoints, folded())
 
-        monkeypatch.setattr(extremal, "SAMPLE_CHUNK", 10)
-        monkeypatch.setattr(extremal, "_sampled_tasks", counting_tasks)
+        monkeypatch.setattr(extremal, "_sampled_orders", counting_orders)
         monkeypatch.setattr(extremal, "_scan", counting_scan)
         report = min_over_weightings(complete_structure(4), mode=Sampled(count=95, seed=1))
         assert report.examined == 95
-        assert drawn == [10] * 9 + [5]
-        assert scanned == list(range(1, 11))  # chunk k is drawn just before scan k
-
-    def test_a_chunk_of_long_orders_is_bounded_by_its_entries(self, monkeypatch):
-        q = 2000
-        path = Structure(n=q + 1, edges=tuple((i, i + 1) for i in range(q)))
-        sizes = []
-
-        def stub_scan(task):
-            sizes.append(len(task[2]) * q)
-            return 0, ()
-
-        monkeypatch.setattr(extremal, "_scan", stub_scan)
-        report = min_over_weightings(path, mode=Sampled(count=300, seed=0))
-        assert report.examined == 300
-        assert max(sizes) <= extremal.SAMPLE_ENTRIES < 300 // 4 * q
-        # K7's orders are short enough that its chunks are still SAMPLE_CHUNK orders.
-        assert extremal.SAMPLE_ENTRIES // complete_structure(7).q >= extremal.SAMPLE_CHUNK
-
-    def test_task_results_are_merged_as_they_arrive(self, monkeypatch):
-        alive = [0]
-        most = [0]
-
-        class Witness(tuple):
-            def __del__(self):
-                alive[0] -= 1
-
-        def stub_scan(task):
-            alive[0] += 1
-            most[0] = max(most[0], alive[0])
-            return 3, Witness(task[2][0])
-
-        monkeypatch.setattr(extremal, "SAMPLE_CHUNK", 1)
-        monkeypatch.setattr(extremal, "_scan", stub_scan)
-        report = min_over_weightings(complete_structure(4), mode=Sampled(count=50, seed=0))
-        assert report.examined == 50
-        assert most[0] <= 3  # the best so far, the last and the newest: not one per task
+        assert events == ["draw", "fold"] * 95  # one order drawn, folded, then the next
 
     @pytest.mark.parametrize("seed", [0, 3, 2024])
     @pytest.mark.parametrize("q", [0, 1, 2, 3, 8, 10, 21])
@@ -510,9 +498,7 @@ class TestSampled:
             w = list(range(q))
             rng.shuffle(w)
             shuffles.append(w)
-        path = tuple((i, i + 1) for i in range(q))
-        tasks = extremal._sampled_tasks(q + 1, path, Sampled(count=40, seed=seed), 16)
-        orders = [order for task in tasks for order in task[2]]
+        orders = list(extremal._sampled_orders(q, Sampled(count=40, seed=seed)))
         assert len(orders) == len(shuffles)
         for order, w in zip(orders, shuffles):
             assert [order[w[i]] for i in range(q)] == list(range(q))
@@ -520,14 +506,16 @@ class TestSampled:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_scan_equals_folding_each_sampled_order(self, n):
         edges = complete_structure(n).edges
-        for task in extremal._sampled_tasks(n, edges, Sampled(count=1500, seed=n), 500):
-            assert extremal._scan(task) == folded(*task)
+        orders = list(extremal._sampled_orders(len(edges), Sampled(count=1500, seed=n)))
+        for lo in range(0, 1500, 500):  # three minima, so a wrong early exit shows in each
+            part = orders[lo : lo + 500]
+            assert extremal._scan(n, edges, part) == folded(n, edges, part)
 
     @settings(max_examples=100, deadline=None)
     @given(small_structures(max_n=7, max_q=8), st.data())
     def test_scan_equals_folding_each_order(self, s, data):
         orders = data.draw(st.lists(st.permutations(range(s.q)), min_size=1, max_size=40))
-        assert extremal._scan((s.n, s.edges, orders)) == folded(s.n, s.edges, orders)
+        assert extremal._scan(s.n, s.edges, orders) == folded(s.n, s.edges, orders)
 
     def test_works_beyond_the_exhaustive_guard(self):
         report = min_over_weightings(complete_structure(6), mode=Sampled(count=20, seed=0))

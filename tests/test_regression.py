@@ -1,5 +1,6 @@
 """Byte-identity of CLI output on two seeded fixture graphs, three extremal
-searches, nine small files and eight oracle inputs.
+searches (each at one and three jobs), nine small files and eight oracle
+inputs.
 
 The files under fixtures/ hold a dense strict graph (400 edges on 30
 vertices) and a relaxed graph with decimal weights (300 edges on 40
@@ -52,9 +53,13 @@ EXTREMAL_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("search", list(EXTREMAL_COMMANDS))
-def test_extremal_stdout_is_byte_identical(capsys, search):
-    assert main(["extremal", *EXTREMAL_COMMANDS[search], "--json"]) == 0
+@pytest.mark.parametrize(
+    "search, jobs",
+    [pytest.param(search, jobs, id=search if jobs == 1 else f"{search}-jobs{jobs}")
+     for jobs in (1, 3) for search in EXTREMAL_COMMANDS],
+)
+def test_extremal_stdout_is_byte_identical(capsys, search, jobs):
+    assert main(["extremal", *EXTREMAL_COMMANDS[search], "--jobs", str(jobs), "--json"]) == 0
     expected = (FIXTURES / f"extremal.{search}.out").read_text()
     assert capsys.readouterr().out == expected
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,6 +21,8 @@ from .extremal import (
     Exhaustive,
     Sampled,
     check_lower_bound,
+    check_search,
+    complete_edge_count,
     complete_structure,
     extremal_report_json,
     min_over_weightings,
@@ -83,10 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one weighting per relabeling orbit; acts only on --exhaustive runs of K_n "
         "with n >= 3 (reduction factor 1 otherwise)",
     )
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes, plain --exhaustive runs only (default: $TRAIL_JOBS or 1)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, plain --exhaustive runs only")
     p.add_argument("--timing", action="store_true", help="include measured elapsed_ms in JSON output")
     p.add_argument("--json", action="store_true")
     add_mode(p)
@@ -229,18 +227,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    mode = Exhaustive() if args.exhaustive else Sampled(count=args.sample, seed=args.seed)
     if args.complete is not None:
+        check_search(complete_edge_count(args.complete), mode, args.jobs)
         structure = complete_structure(args.complete)
     else:
         structure = structure_of(_load_graph(args.file, args.mode))
-    mode = Exhaustive() if args.exhaustive else Sampled(count=args.sample, seed=args.seed)
-    try:
-        jobs = args.jobs if args.jobs is not None else int(os.environ.get("TRAIL_JOBS", "1"))
-    except ValueError:
-        raise ValueError(f"TRAIL_JOBS must be an integer, got {os.environ['TRAIL_JOBS']!r}") from None
-    report = min_over_weightings(
-        structure, mode=mode, reduce_symmetry=args.reduce, jobs=jobs
-    )
+    report = min_over_weightings(structure, mode=mode, reduce_symmetry=args.reduce, jobs=args.jobs)
     if args.json:
         _emit_json(extremal_report_json(report, include_timing=args.timing))
         return 0

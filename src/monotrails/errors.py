@@ -65,7 +65,7 @@ class InvalidGraphError(MonotrailsError):
 
 
 class ExhaustiveTooLargeError(MonotrailsError):
-    """Exhaustive weighting search requested beyond the q <= 10 guard."""
+    """Exhaustive weighting search requested beyond q <= EXHAUSTIVE_MAX_EDGES."""
 
 
 class InvalidStructureError(MonotrailsError):

@@ -97,12 +97,17 @@ class Structure:
         return self.q == self.n * (self.n - 1) // 2
 
 
-def complete_structure(n: int) -> Structure:
+def complete_edge_count(n: int) -> int:
     if n < 1:
         raise InvalidStructureError(f"vertex count must be >= 1, got {n}")
     q = n * (n - 1) // 2
     if q > MAX_EDGES:
         raise TooManyEdgesError(f"K_{n} has {q} edges, above the limit of {MAX_EDGES}")
+    return q
+
+
+def complete_structure(n: int) -> Structure:
+    complete_edge_count(n)
     return Structure(n=n, edges=tuple(combinations(range(n), 2)))
 
 
@@ -319,6 +324,18 @@ def _sampled_orders(q: int, mode: Sampled):
         yield order
 
 
+def check_search(q: int, mode: Exhaustive | Sampled, jobs: int) -> None:
+    """Refuse a search over q edges before anything is built for it."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if isinstance(mode, Sampled) and mode.count < 1:
+        raise ValueError(f"sample count must be >= 1, got {mode.count}")
+    if isinstance(mode, Exhaustive) and q > EXHAUSTIVE_MAX_EDGES:
+        raise ExhaustiveTooLargeError(
+            f"q={q} exceeds the exhaustive guard of {EXHAUSTIVE_MAX_EDGES}; use Sampled mode"
+        )
+
+
 def min_over_weightings(
     structure: Structure,
     mode: Exhaustive | Sampled = Exhaustive(),
@@ -327,7 +344,7 @@ def min_over_weightings(
 ) -> ExtremalReport:
     """Minimum longest-decreasing-trail length over weightings of a structure.
 
-    Exhaustive mode covers all q! weightings (guarded at q <= 10), or one
+    Exhaustive mode covers all q! weightings (q <= EXHAUSTIVE_MAX_EDGES), or one
     canonical representative per relabeling orbit when reduce_symmetry is
     set and the structure is complete with n >= 3 (reduction factor 1
     otherwise, and always in Sampled mode).  Sampled mode draws `count`
@@ -338,17 +355,9 @@ def min_over_weightings(
     Only plain exhaustive runs start workers, at most min(jobs, usable
     CPUs, tasks); sampled and reduced runs search in the calling process.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    t0 = time.perf_counter()
     q = structure.q
-    if isinstance(mode, Sampled):
-        if mode.count < 1:
-            raise ValueError(f"sample count must be >= 1, got {mode.count}")
-    elif q > EXHAUSTIVE_MAX_EDGES:
-        raise ExhaustiveTooLargeError(
-            f"q={q} exceeds the exhaustive guard of {EXHAUSTIVE_MAX_EDGES}; use Sampled mode"
-        )
+    check_search(q, mode, jobs)
+    t0 = time.perf_counter()
     # Isolated vertices keep label 0: dropping them changes no label, and the slack bound holds.
     used = sorted({v for edge in structure.edges for v in edge})
     index = {v: i for i, v in enumerate(used)}

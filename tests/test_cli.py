@@ -24,13 +24,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_limited(*argv):
-    """Run the CLI in a child process limited to a 1 GiB address space, so
-    the suite keeps its own."""
+def run_limited(*argv, mib=1024):
+    """Run the CLI in a child process limited to a `mib` MiB (default 1 GiB)
+    address space, so the suite keeps its own."""
     pytest.importorskip("resource")
     limit = (
         "import resource, sys; "
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({mib} << 20, {mib} << 20)); "
         "from monotrails.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(monotrails.__file__).parents[1]))
@@ -342,6 +342,22 @@ class TestExtremal:
         code, _, err = run_cli(capsys, "extremal", "--complete", "6", "--exhaustive")
         assert code == 2 and "exceeds" in err
 
+    def test_too_large_is_refused_before_the_edges_are_listed(self):
+        # K_4472's 9,997,156 edges are under MAX_EDGES; listing them would exhaust 256 MiB.
+        run = run_limited("extremal", "--complete", "4472", "--exhaustive", mib=256)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            2, "", "error: q=9997156 exceeds the exhaustive guard of 10; use Sampled mode\n"
+        )
+
+    @pytest.mark.parametrize("n, err", [
+        ("-100000", "vertex count must be >= 1, got -100000"),
+        ("100000", "K_100000 has 4999950000 edges, above the limit of 10000000"),
+        ("6", "jobs must be >= 1, got 0"),
+    ])
+    def test_refusals_before_the_guard_keep_their_order(self, capsys, n, err):
+        argv = ("extremal", "--complete", n, "--exhaustive", "--jobs", "0")
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
+
     def test_edge_count_above_the_limit_exits_2(self):
         # K_100000 has ~5e9 edges; listing them would exhaust 1 GiB.
         run = run_limited("extremal", "--complete", "100000", "--sample", "1")
@@ -374,27 +390,25 @@ class TestExtremal:
         doc = json.loads(run.stdout)
         assert (doc["f"], doc["witness"]) == (1, [1, 2])
 
-    def test_jobs_flag_and_env_default(self, capsys, monkeypatch):
+    def test_jobs_flag_does_not_change_the_report(self, capsys):
         _, base, _ = run_cli(capsys, "extremal", "--complete", "4", "--exhaustive", "--json")
         _, with_jobs, _ = run_cli(
             capsys, "extremal", "--complete", "4", "--exhaustive", "--jobs", "2", "--json"
         )
-        monkeypatch.setenv("TRAIL_JOBS", "2")
-        _, with_env, _ = run_cli(capsys, "extremal", "--complete", "4", "--exhaustive", "--json")
-        assert base == with_jobs == with_env
+        assert base == with_jobs
 
-    def test_jobs_below_one_exit_2(self, capsys, monkeypatch):
-        code, out, err = run_cli(capsys, "extremal", "--complete", "3", "--exhaustive", "--jobs", "0")
-        assert code == 2 and out == "" and "jobs must be >= 1" in err
-        monkeypatch.setenv("TRAIL_JOBS", "-1")
-        code, out, err = run_cli(capsys, "extremal", "--complete", "3", "--sample", "5")
-        assert code == 2 and out == "" and "jobs must be >= 1" in err
+    def test_jobs_below_one_exit_2(self, capsys):
+        for how in (["--exhaustive", "--jobs", "0"], ["--sample", "5", "--jobs", "-1"]):
+            code, out, err = run_cli(capsys, "extremal", "--complete", "3", *how)
+            assert code == 2 and out == "" and "jobs must be >= 1" in err
 
-    def test_non_integer_trail_jobs_exit_2(self, capsys, monkeypatch):
+    def test_the_environment_sets_no_worker_count(self, capsys, monkeypatch):
+        argv = ("extremal", "--complete", "3", "--exhaustive", "--json")
+        monkeypatch.delenv("TRAIL_JOBS", raising=False)
+        unset = run_cli(capsys, *argv)
         monkeypatch.setenv("TRAIL_JOBS", "x")
-        code, out, err = run_cli(capsys, "extremal", "--complete", "3", "--exhaustive")
-        assert (code, out) == (2, "")
-        assert err == "error: TRAIL_JOBS must be an integer, got 'x'\n"
+        assert run_cli(capsys, *argv) == unset
+        assert unset[0] == 0
 
 
 class TestGen:

@@ -1,7 +1,6 @@
 """The README's reproduction script, run in-process."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +8,6 @@ import pytest
 SCRIPT = Path(__file__).parent.parent / "scripts" / "run_extremal_search.py"
 spec = importlib.util.spec_from_file_location("run_extremal_search", SCRIPT)
 run_extremal_search = importlib.util.module_from_spec(spec)
-sys.modules[spec.name] = run_extremal_search  # dataclasses look their module up by name
 spec.loader.exec_module(run_extremal_search)
 
 
@@ -20,11 +18,12 @@ def test_k3_and_k4_guarantees(capsys):
     assert [row[:4] for row in rows] == [["3", "3", "6", "3"], ["4", "6", "720", "3"]]
 
 
-def test_jobs_below_one_exit_2(capsys):
+def test_max_n_above_the_exhaustive_guard_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        run_extremal_search.main(["--jobs", "0"])
-    assert exc.value.code == 2
-    assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
+        run_extremal_search.main(["--max-n", "6"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")  # no table row
+    assert "K6 has 15 edges; the exhaustive guard is 10" in captured.err
 
 
 @pytest.mark.parametrize("max_n", ["2", "1", "0", "-4"])

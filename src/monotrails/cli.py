@@ -28,7 +28,7 @@ from .extremal import (
     min_over_weightings,
     structure_of,
 )
-from .graphs import Mode, WeightedGraph, parse_edge_list, random_graph, render_edge_list
+from .graphs import WeightedGraph, parse_edge_list, random_graph, render_edge_list
 from .labeling import Order, longest_ordered_trail, trail_report_json
 from .oracle import brute_force_longest
 from .trails import Trail, trail_weights
@@ -44,31 +44,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"monotrails {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_mode(p):
-        p.add_argument(
-            "--mode",
-            choices=["auto", "strict", "relaxed"],
-            default="auto",
-            help="weight regime of the input file (default: infer)",
-        )
-
     p = sub.add_parser("compute", help="longest ordered trail of a graph file")
     p.add_argument("file", type=Path)
     p.add_argument("--order", choices=["dec", "inc"], default="dec")
     p.add_argument("--trail", action="store_true", help="print the witness trail")
     p.add_argument("--labels", action="store_true", help="print the final labels")
     p.add_argument("--json", action="store_true")
-    add_mode(p)
 
     p = sub.add_parser("oracle", help="brute-force optimum and agreement with the algorithm")
     p.add_argument("file", type=Path)
     p.add_argument("--json", action="store_true")
-    add_mode(p)
 
     p = sub.add_parser("check", help="lower-bound checks plus oracle agreement")
     p.add_argument("file", type=Path)
     p.add_argument("--json", action="store_true")
-    add_mode(p)
 
     p = sub.add_parser("extremal", help="minimum over weightings of a structure")
     grp = p.add_mutually_exclusive_group(required=True)
@@ -87,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes, plain --exhaustive runs only")
     p.add_argument("--timing", action="store_true", help="include measured elapsed_ms in JSON output")
     p.add_argument("--json", action="store_true")
-    add_mode(p)
 
     p = sub.add_parser("gen", help="generate an edge-list file")
     grp = p.add_mutually_exclusive_group(required=True)
@@ -97,11 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="output path (default: stdout)")
 
     return parser
-
-
-def _load_graph(path: Path, mode_flag: str) -> WeightedGraph:
-    mode = {"auto": None, "strict": Mode.STRICT, "relaxed": Mode.RELAXED}[mode_flag]
-    return parse_edge_list(path.read_text(), mode=mode)
 
 
 def _trail_text(g: WeightedGraph, trail: Trail, start: int) -> str:
@@ -122,12 +105,13 @@ def _emit_json(obj) -> None:
 
 
 def _cmd_compute(args) -> int:
-    g = _load_graph(args.file, args.mode)
+    g = parse_edge_list(args.file.read_text())
     kind = Order.DECREASING if args.order == "dec" else Order.INCREASING
     report = longest_ordered_trail(g, kind)
+    ok = report.holds_a and report.holds_b
     if args.json:
         _emit_json(trail_report_json(report, g))
-        return 0
+        return 0 if ok else 1
     print(f"graph: n={g.n} q={g.q} ({g.mode.value})")
     print(f"order: {'decreasing' if kind is Order.DECREASING else 'increasing'}")
     print(f"optimum: {report.optimum}")
@@ -135,9 +119,12 @@ def _cmd_compute(args) -> int:
         print(f"trail: {_trail_text(g, report.witness, report.start)}")
     if args.labels:
         print(f"labels: {_labels_text(report.labels)}")
-    print(f"bound 2*floor(q/n) = {report.bound_two_floor_q_over_n}: satisfied")
-    print(f"bound floor(2q/n) = {report.bound_floor_two_q_over_n}: satisfied")
-    return 0
+    for name, value, holds in (
+        ("2*floor(q/n)", report.bound_two_floor_q_over_n, report.holds_a),
+        ("floor(2q/n)", report.bound_floor_two_q_over_n, report.holds_b),
+    ):
+        print(f"bound {name} = {value}: {'satisfied' if holds else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def _oracle_agreement(g: WeightedGraph, optimum: int, labels: list[int]):
@@ -148,7 +135,7 @@ def _oracle_agreement(g: WeightedGraph, optimum: int, labels: list[int]):
 
 
 def _cmd_oracle(args) -> int:
-    g = _load_graph(args.file, args.mode)
+    g = parse_edge_list(args.file.read_text())
     if g.n > ORACLE_MAX_N:
         print(f"error: oracle needs n <= {ORACLE_MAX_N}, got n={g.n}", file=sys.stderr)
         return 2
@@ -175,7 +162,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _load_graph(args.file, args.mode)
+    g = parse_edge_list(args.file.read_text())
     bc = check_lower_bound(g)
     oracle_json = None
     oracle_ok = True
@@ -232,7 +219,7 @@ def _cmd_extremal(args) -> int:
         check_search(complete_edge_count(args.complete), mode, args.jobs)
         structure = complete_structure(args.complete)
     else:
-        structure = structure_of(_load_graph(args.file, args.mode))
+        structure = structure_of(parse_edge_list(args.file.read_text()))
     report = min_over_weightings(structure, mode=mode, reduce_symmetry=args.reduce, jobs=args.jobs)
     if args.json:
         _emit_json(extremal_report_json(report, include_timing=args.timing))

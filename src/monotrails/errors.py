@@ -30,7 +30,7 @@ class NonPositiveWeightError(MonotrailsError):
 
 
 class RankOutOfRangeError(MonotrailsError):
-    """An edge rank or step index outside 0..q (or 1..q)."""
+    """An edge rank, step index or vertex outside its range."""
 
 
 class WrongPermutationLengthError(MonotrailsError):

@@ -9,7 +9,8 @@ Two weight regimes are supported.  In strict mode the weight multiset must
 be exactly {1..q} for q edges, so an edge's rank in ascending weight order
 equals its weight.  Relaxed mode allows arbitrary pairwise-distinct
 positive rationals; the trail algorithms only ever use the ascending weight
-order, so both regimes share all downstream code.
+order, so both regimes share all downstream code.  A parsed graph's mode is
+read from its weights, never given: strict exactly when they are 1..q.
 
 The edge-list parser is one line loop, the only code that reads the
 comments and the header, names a bad line or lists parse-time violations.
@@ -64,11 +65,12 @@ class Mode(Enum):
 class WeightedGraph:
     """Immutable-by-convention weighted graph; mutate nothing after build.
 
-    The constructor performs no checking, so tests and file parsing can
-    materialize invalid graphs.  parse_edge_list, complete_graph and
-    random_graph build valid graphs; new_graph and add_edge check each edge
-    only, so a strict graph they build may fail validate (not-surjective).
-    Weights that are exactly the ints 1..q are placed by rank once, and kept.
+    The constructor performs no checking and takes the mode as given, so
+    tests and file parsing can materialize invalid graphs.  parse_edge_list
+    (mode read from the weights), complete_graph and random_graph build
+    valid graphs; new_graph and add_edge check each edge only, so a strict
+    graph they build may fail validate (not-surjective).  Weights that are
+    exactly the ints 1..q are placed by rank once, and kept.
     """
 
     n: int
@@ -305,17 +307,16 @@ _COLUMN_CHUNK = 4096  # body lines the column path converts at a time
 _PRED = (-1).__add__  # 1-based vertex number to 0-based index
 
 
-def parse_edge_list(text: str, mode: Mode | None = None) -> WeightedGraph:
+def parse_edge_list(text: str) -> WeightedGraph:
     """Parse the edge-list format into a validated graph.
 
-    mode=None infers: strict when all weights are the integers 1..q,
-    relaxed otherwise.  Passing a mode forces it (forcing strict on a
-    non-{1..q} weighting fails validation).  A header n above MAX_VERTICES
-    is a parse error on the header line.
+    The mode is read from the weights: strict when they are exactly the
+    integers 1..q, relaxed otherwise.  A header n above MAX_VERTICES is a
+    parse error on the header line.
     """
     n, edges, violations = _parse_lines(text.splitlines())
-    g = WeightedGraph(n=n, edges=edges, mode=mode or Mode.STRICT)
-    if mode is None and g._rank_order is None:
+    g = WeightedGraph(n=n, edges=edges, mode=Mode.STRICT)
+    if g._rank_order is None:
         g = WeightedGraph(n=n, edges=edges, mode=Mode.RELAXED)
     violations.extend(g.violations)
     if violations:
@@ -471,7 +472,9 @@ def _parse_weight(token: str, line_no: int) -> Weight:
 
 
 def render_edge_list(g: WeightedGraph) -> str:
-    """Render a graph in the edge-list format (round-trips through parse).
+    """Render a graph in the edge-list format.  Parsing the text gives back
+    n and the weights; the mode is read again from the weights, so a
+    relaxed-labelled graph whose weights are 1..q comes back strict.
 
     Relaxed weights render as exact decimals; a rational whose reduced
     denominator has a prime factor other than 2 or 5 has no finite decimal

@@ -86,7 +86,7 @@ def find_edge_by_rank(g: WeightedGraph, rank: int) -> EdgeKey:
     endpoints in canonical (min, max) order.  In strict mode rank = weight."""
     if not 1 <= rank <= g.q:
         raise RankOutOfRangeError(f"rank {rank} outside 1..{g.q}")
-    return ranked_edges(g)[rank - 1]
+    return ranked_edges(g.checked())[rank - 1]
 
 
 def propagate_step(state: LabelState, g: WeightedGraph) -> LabelState:
@@ -139,10 +139,10 @@ def _unroll(cell) -> Trail:
 
 def label_state_at(g: WeightedGraph, i: int) -> LabelState:
     """State after i applications of propagate_step from the zero state,
-    computed by one fold over the i lowest-ranked edges."""
+    computed by one fold over the i lowest-ranked edges of a valid graph."""
     if not 0 <= i <= g.q:
         raise RankOutOfRangeError(f"step {i} outside 0..{g.q}")
-    labels, cells = _fold(g.n, ranked_edges(g)[:i])
+    labels, cells = _fold(g.n, ranked_edges(g.checked())[:i])
     return LabelState(step=i, labels=labels, witnesses=[_unroll(c) for c in cells])
 
 
@@ -158,7 +158,7 @@ def run_labeling_sorted(g: WeightedGraph) -> LabelState:
     """Full labeling of a valid graph in a single pass: label_state_at(g, q).
     Produces a state identical to q applications of propagate_step (which
     re-ranks at every step)."""
-    return label_state_at(g.checked(), g.q)
+    return label_state_at(g, g.q)
 
 
 def final_label_lengths(n: int, edges_in_order: Iterable[Sequence[int]]) -> list[int]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import RankOutOfRangeError
 from .graphs import WeightedGraph
 from .trails import Trail
 
@@ -67,10 +68,13 @@ def enumerate_dec_trails_from(g: WeightedGraph, v: int, cap: int = 100_000) -> T
     one would list trails by hand (prefixes of listed trails are omitted).
     Depth-first, neighbors visited in ascending vertex order, so the output
     order is reproducible.  Stops after cap trails and flags truncation.
+    The graph must be valid and v one of its vertices.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    rows = _rows(g)
+    if not 0 <= v < g.n:
+        raise RankOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
+    rows = _rows(g.checked())
     trails: list[Trail] = []
     truncated = False
 

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: outputs, exit codes, schemas, determinism."""
 
+import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,6 @@ from monotrails import cli
 from monotrails.cli import main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "docs"
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -212,26 +213,80 @@ class TestCompute:
 
 
 class TestMode:
-    def test_strict_on_a_relaxed_file_exits_2(self, capsys):
-        relaxed = FIXTURES / "relaxed_decimal.txt"
-        code, out, err = run_cli(capsys, "compute", str(relaxed), "--mode", "strict")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: edge list fails validation: not-surjective")
-        assert err.count("\n") == 1
+    def test_mode_flag_is_a_usage_error(self, capsys, k4_file):
+        # The mode is read from the weights; no subcommand takes a flag for it.
+        for argv in (["compute"], ["oracle"], ["check"], ["extremal", "--exhaustive", "--file"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, str(k4_file), "--mode", "strict"])
+            assert exc.value.code == 2
+            _, err = capsys.readouterr()
+            assert err.startswith("usage: monotrails ")
+            assert err.endswith("error: unrecognized arguments: --mode strict\n")
 
-    def test_relaxed_on_a_strict_file(self, capsys, k4_file):
-        code, out, _ = run_cli(capsys, "compute", str(k4_file), "--mode", "relaxed")
-        assert code == 0
-        assert "graph: n=4 q=6 (relaxed)" in out and "optimum: 3" in out
 
-    @pytest.mark.parametrize(
-        "argv", [("compute", "--json"), ("extremal", "--exhaustive", "--json", "--file")]
-    )
-    def test_relaxed_json_matches_the_default(self, capsys, k4_file, argv):
-        argv = [*argv, str(k4_file)]
-        default = run_cli(capsys, *argv)
-        assert default[0] == 0
-        assert run_cli(capsys, *argv, "--mode", "relaxed") == default
+def _altered(real, **fields):
+    """real with the given fields of its result replaced."""
+    return lambda *args: dataclasses.replace(real(*args), **fields)
+
+
+class TestFailedChecks:
+    """A failed property check prints FAIL or MISMATCH and exits 1.  The
+    algorithm never fails one, so each test alters the result a check reads."""
+
+    def test_compute_reports_a_failed_bound(self, capsys, monkeypatch, k4_file):
+        real = cli.longest_ordered_trail
+        monkeypatch.setattr(cli, "longest_ordered_trail", _altered(real, optimum=2))
+        code, out, err = run_cli(capsys, "compute", str(k4_file))
+        assert (code, err) == (1, "")
+        assert out.endswith(
+            "bound 2*floor(q/n) = 2: satisfied\nbound floor(2q/n) = 3: FAIL\n"
+        )
+        code, out, err = run_cli(capsys, "compute", str(k4_file), "--json")
+        assert (code, err) == (1, "") and json.loads(out)["optimum"] == 2
+
+    def test_check_reports_a_failed_bound(self, capsys, monkeypatch, k4_file):
+        real = cli.check_lower_bound
+        monkeypatch.setattr(cli, "check_lower_bound", _altered(real, optimum=2))
+        code, out, err = run_cli(capsys, "check", str(k4_file))
+        assert (code, err) == (1, "")
+        assert out == (
+            "n=4 q=6 p_d=2\n"
+            "bound 2*floor(q/n) = 2: pass\n"
+            "bound floor(2q/n) = 3: FAIL\n"
+            "oracle agreement: FAIL\n"
+            "result: FAILED\n"
+        )
+        code, out, err = run_cli(capsys, "check", str(k4_file), "--json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("check-report.schema.json"))
+        assert doc["bounds"]["floor_2q_over_n"] == {"value": 3, "holds": False}
+        assert doc["ok"] is False
+
+    def test_check_reports_an_oracle_disagreement(self, capsys, monkeypatch, k4_file):
+        real = cli.brute_force_longest
+        monkeypatch.setattr(cli, "brute_force_longest", _altered(real, per_vertex=[3, 3, 3, 2]))
+        code, out, err = run_cli(capsys, "check", str(k4_file))
+        assert (code, err) == (1, "")
+        assert out.endswith("oracle agreement: FAIL\nresult: FAILED\n")
+        code, out, err = run_cli(capsys, "check", str(k4_file), "--json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("check-report.schema.json"))
+        assert doc["oracle"] == {"optimum": 3, "optimum_agrees": True, "per_vertex_agrees": False}
+        assert doc["ok"] is False
+
+    def test_oracle_reports_a_mismatch(self, capsys, monkeypatch, k4_file):
+        real = cli.brute_force_longest
+        monkeypatch.setattr(cli, "brute_force_longest", _altered(real, optimum=4))
+        code, out, err = run_cli(capsys, "oracle", str(k4_file))
+        assert (code, err) == (1, "")
+        assert out.endswith("algorithm optimum: 3\nagreement: MISMATCH\n")
+        code, out, err = run_cli(capsys, "oracle", str(k4_file), "--json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("oracle-report.schema.json"))
+        assert doc["agreement"] == {"optimum": False, "per_vertex": True}
 
 
 class TestOracle:
@@ -484,3 +539,17 @@ class TestDeterminism:
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestReadme:
+    def test_command_lines_parse(self, capsys):
+        # A flag that is removed or renamed must not stay in the docs.
+        readme = Path(__file__).parent.parent / "README.md"
+        lines = [ln for ln in readme.read_text().splitlines() if ln.startswith("monotrails ")]
+        assert lines
+        parser = cli._build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")

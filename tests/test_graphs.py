@@ -185,46 +185,36 @@ class TestRanksCheckedOnce:
     """Mode inference and validate share one rank placement per parse.
 
     Each case gives the inferred mode, or the violations of a file that
-    fails, as the parse gave them before the verdict was shared, and the
-    number of rank placements now: one per parse with an inferred mode or
-    a forced strict one, none under a forced relaxed mode."""
+    fails, as the parse gave them before the verdict was shared."""
 
     CASES = {
-        "k4": ("p 4 6\ne 1 2 1\ne 1 3 3\ne 1 4 6\ne 2 3 5\ne 2 4 4\ne 3 4 2\n", None,
-               Mode.STRICT, 1),
-        "strict_path_2000": (_PATH_2000, None, Mode.STRICT, 1),
-        "edgeless": ("p 2 0\n", None, Mode.STRICT, 1),
-        "decimal": ("p 2 1\ne 1 2 0.5\n", None, Mode.RELAXED, 1),
-        "int_gap": ("p 2 1\ne 1 2 7\n", None, Mode.RELAXED, 1),
-        "int_gap_forced_strict": (
-            "p 2 1\ne 1 2 7\n", Mode.STRICT,
-            [("not-surjective", "strict weights must be exactly 1..1, got [7]")], 1,
-        ),
-        "ranks_forced_relaxed": ("p 2 1\ne 1 2 1\n", Mode.RELAXED, Mode.RELAXED, 0),
+        "k4": ("p 4 6\ne 1 2 1\ne 1 3 3\ne 1 4 6\ne 2 3 5\ne 2 4 4\ne 3 4 2\n", Mode.STRICT),
+        "strict_path_2000": (_PATH_2000, Mode.STRICT),
+        "edgeless": ("p 2 0\n", Mode.STRICT),
+        "decimal": ("p 2 1\ne 1 2 0.5\n", Mode.RELAXED),
+        "int_gap": ("p 2 1\ne 1 2 7\n", Mode.RELAXED),
         "ranks_vertex_out_of_range": (
-            "p 2 2\ne 1 2 1\ne 2 3 2\n", None, [("vertex-out-of-range", "edge (2,3) vs n=2")], 1,
+            "p 2 2\ne 1 2 1\ne 2 3 2\n", [("vertex-out-of-range", "edge (2,3) vs n=2")],
         ),
         "duplicate_weight": (
-            "p 3 2\ne 1 2 1\ne 2 3 1\n", None,
-            [("duplicate-weight", "weight 1 used more than once")], 1,
+            "p 3 2\ne 1 2 1\ne 2 3 1\n", [("duplicate-weight", "weight 1 used more than once")],
         ),
-        "self_loop": ("p 3 2\ne 1 1 1\ne 2 3 2\n", None, [("self-loop", "edge at vertex 1")], 1),
+        "self_loop": ("p 3 2\ne 1 1 1\ne 2 3 2\n", [("self-loop", "edge at vertex 1")]),
         "zero_weight": (
-            "p 3 2\ne 1 2 0\ne 2 3 1\n", None,
-            [("non-positive-weight", "edge (1,2) has weight 0")], 1,
+            "p 3 2\ne 1 2 0\ne 2 3 1\n", [("non-positive-weight", "edge (1,2) has weight 0")],
         ),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_one_rank_check_per_parse(self, monkeypatch, name):
-        text, mode, expected, expected_calls = self.CASES[name]
+        text, expected = self.CASES[name]
         calls = _count_rank_placements(monkeypatch)
         try:
-            result = parse_edge_list(text, mode).mode
+            result = parse_edge_list(text).mode
         except GraphValidationError as exc:
             result = [(v.kind, v.detail) for v in exc.violations]
         assert result == expected
-        assert len(calls) == expected_calls
+        assert len(calls) == 1
 
 
 class TestWeightedSubgraph:
@@ -529,11 +519,12 @@ class TestEdgeListFormat:
         gaps = parse_edge_list("p 2 1\ne 1 2 7\n")
         assert gaps.mode is Mode.RELAXED  # integer but not {1..q}
 
-    def test_mode_override(self):
-        g = parse_edge_list("p 2 1\ne 1 2 1\n", mode=Mode.RELAXED)
-        assert g.mode is Mode.RELAXED
-        with pytest.raises(GraphValidationError):
-            parse_edge_list("p 2 1\ne 1 2 7\n", mode=Mode.STRICT)
+    def test_mode_has_no_override(self):
+        # The mode is read from the weights; the parser takes none.
+        with pytest.raises(TypeError):
+            parse_edge_list("p 2 1\ne 1 2 1\n", mode=Mode.RELAXED)
+        with pytest.raises(TypeError):
+            parse_edge_list("p 2 1\ne 1 2 7\n", Mode.STRICT)
 
     @pytest.mark.parametrize("q", [1, 2000])  # a one-edge file and a large one
     @pytest.mark.parametrize("dot", ["", "."])

@@ -217,6 +217,36 @@ class TestRunLabelingSorted:
         assert final_label_lengths(g.n, ranked_edges(g)) == run_labeling_sorted(g).labels
 
 
+# An endpoint beyond n, and a repeated weight: both invalid, both rankable.
+OUT_OF_RANGE = WeightedGraph(n=3, edges={(0, 1): 1, (1, 5): 2}, mode=Mode.STRICT)
+DUPLICATE_WEIGHTS = WeightedGraph(n=3, edges={(0, 1): 1, (1, 2): 1}, mode=Mode.RELAXED)
+
+
+class TestInvalidGraphsAreRefused:
+    """Each entry point checks the graph before it ranks an edge or reads a
+    vertex's label, so an invalid graph raises InvalidGraphError."""
+
+    def test_label_state_at_out_of_range(self):
+        with pytest.raises(InvalidGraphError, match="vertex-out-of-range"):
+            label_state_at(OUT_OF_RANGE, 2)
+
+    def test_get_label_out_of_range(self):
+        with pytest.raises(InvalidGraphError, match="vertex-out-of-range"):
+            get_label(OUT_OF_RANGE, 2, 0)
+
+    def test_find_edge_by_rank_out_of_range(self):
+        with pytest.raises(InvalidGraphError, match="vertex-out-of-range"):
+            find_edge_by_rank(OUT_OF_RANGE, 2)
+
+    def test_propagate_step_out_of_range(self):
+        with pytest.raises(InvalidGraphError, match="vertex-out-of-range"):
+            propagate_step(initial_state(OUT_OF_RANGE), OUT_OF_RANGE)
+
+    def test_get_label_duplicate_weights(self):
+        with pytest.raises(InvalidGraphError, match="duplicate-weight"):
+            get_label(DUPLICATE_WEIGHTS, 2, 0)
+
+
 class TestLongestOrderedTrail:
     def test_worked_example_decreasing(self, k4):
         report = longest_ordered_trail(k4, Order.DECREASING)

@@ -20,7 +20,7 @@ from monotrails import (
     run_labeling_sorted,
     weighted_subgraph,
 )
-from monotrails.errors import InvalidGraphError
+from monotrails.errors import InvalidGraphError, RankOutOfRangeError
 
 from strategies import any_graphs, float_trap_graphs, strict_graphs
 
@@ -87,6 +87,22 @@ class TestEnumerateDecTrailsFrom:
     def test_cap_must_be_positive(self, k4_sub5):
         with pytest.raises(ValueError):
             enumerate_dec_trails_from(k4_sub5, 2, cap=0)
+
+    def test_rejects_an_out_of_range_vertex(self):
+        bad = WeightedGraph(n=3, edges={(0, 1): 1, (1, 5): 2}, mode=Mode.STRICT)
+        with pytest.raises(InvalidGraphError, match="vertex-out-of-range"):
+            enumerate_dec_trails_from(bad, 0)
+
+    def test_rejects_duplicate_weights(self):
+        bad = WeightedGraph(n=3, edges={(0, 1): 1, (1, 2): 1}, mode=Mode.RELAXED)
+        with pytest.raises(InvalidGraphError, match="duplicate-weight"):
+            enumerate_dec_trails_from(bad, 0)
+
+    @pytest.mark.parametrize("v", [-1, 3, 7])
+    def test_start_outside_the_graph_is_refused(self, v):
+        # -1 would read vertex 2's edges through Python's negative index.
+        with pytest.raises(RankOutOfRangeError, match=f"vertex {v} outside 0..2"):
+            enumerate_dec_trails_from(complete_graph(3, [1, 2, 3]), v)
 
     @given(strict_graphs(max_n=6))
     def test_enumerated_trails_are_valid_maximal_and_cover_the_optimum(self, g):

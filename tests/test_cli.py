@@ -17,6 +17,7 @@ from monotrails import cli
 from monotrails.cli import main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "docs"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -213,15 +214,61 @@ class TestCompute:
 
 
 class TestMode:
-    def test_mode_flag_is_a_usage_error(self, capsys, k4_file):
-        # The mode is read from the weights; no subcommand takes a flag for it.
+    """The mode is read from the weights: no subcommand takes a flag for it,
+    and a relaxed copy of a strict file gets the same answers."""
+
+    @staticmethod
+    def _relaxed_copy(tmp_path, strict_file):
+        # Same edges, same weight order, weights 1.5, 3, ..., 9: not 1..q.
+        lines = []
+        for line in strict_file.read_text().splitlines():
+            if line.startswith("e "):
+                _, u, v, w = line.split()
+                line = f"e {u} {v} {int(w) * 1.5}"
+            lines.append(line)
+        path = tmp_path / "relaxed.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_strict_on_a_relaxed_file_exits_2(self, capsys):
+        relaxed = FIXTURES / "relaxed_decimal.txt"
         for argv in (["compute"], ["oracle"], ["check"], ["extremal", "--exhaustive", "--file"]):
             with pytest.raises(SystemExit) as exc:
-                main([*argv, str(k4_file), "--mode", "strict"])
+                main([*argv, str(relaxed), "--mode", "strict"])
             assert exc.value.code == 2
             _, err = capsys.readouterr()
             assert err.startswith("usage: monotrails ")
             assert err.endswith("error: unrecognized arguments: --mode strict\n")
+
+    def test_relaxed_on_a_strict_file(self, capsys, tmp_path, k4_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", str(k4_file), "--mode", "relaxed"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --mode relaxed\n"
+        )
+        code, out, _ = run_cli(capsys, "compute", str(k4_file))
+        assert code == 0
+        assert "graph: n=4 q=6 (strict)" in out and "optimum: 3" in out
+        code, out, _ = run_cli(capsys, "compute", str(self._relaxed_copy(tmp_path, k4_file)))
+        assert code == 0
+        assert "graph: n=4 q=6 (relaxed)" in out and "optimum: 3" in out
+
+    @pytest.mark.parametrize(
+        "argv", [("compute", "--json"), ("extremal", "--exhaustive", "--json", "--file")]
+    )
+    def test_relaxed_json_matches_the_default(self, capsys, tmp_path, k4_file, argv):
+        code, out, _ = run_cli(capsys, *argv, str(k4_file))
+        assert code == 0
+        default = json.loads(out)
+        code, out, _ = run_cli(capsys, *argv, str(self._relaxed_copy(tmp_path, k4_file)))
+        assert code == 0
+        relaxed = json.loads(out)
+        if "trail" in default:  # the same trail, through the scaled weights
+            assert relaxed["trail"].pop("weights") == [
+                w * 1.5 for w in default["trail"].pop("weights")
+            ]
+        assert relaxed == default
 
 
 def _altered(real, **fields):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -36,13 +37,24 @@ from .trails import Trail, trail_weights
 ORACLE_MAX_N = 9  # brute force is exponential: oracle refuses larger n, check skips it
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses its own leftover arguments, so a
+    typo after a subcommand shows that subcommand's usage, not the root's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monotrails",
         description="Longest strictly increasing/decreasing trails in edge-weighted graphs.",
     )
     parser.add_argument("--version", action="version", version=f"monotrails {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("compute", help="longest ordered trail of a graph file")
     p.add_argument("file", type=Path)
@@ -92,7 +104,7 @@ def _trail_text(g: WeightedGraph, trail: Trail, start: int) -> str:
     chain = "-".join(f"v{v + 1}" for v in vertices)
     if not trail:
         return chain + "  (empty trail)"
-    weights = ", ".join(str(w) for w in trail_weights(g, trail))
+    weights = ", ".join(str(Fraction(w)) for w in trail_weights(g, trail))  # exact: "3/2"
     return f"{chain}  (weights: {weights})"
 
 

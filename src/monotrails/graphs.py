@@ -12,28 +12,35 @@ positive rationals; the trail algorithms only ever use the ascending weight
 order, so both regimes share all downstream code.  A parsed graph's mode is
 read from its weights, never given: strict exactly when they are 1..q.
 
+Weights are exact: an integral one is an int, a plain decimal token such
+as "123.456" is decimal.Decimal(token) (m*10^e, compared in C, never put
+through arithmetic, printed in its Fraction form "15432/125"), and any
+other token, such as "2.5e-1" or ".5", is a Fraction.
+
 The edge-list parser is one line loop, the only code that reads the
 comments and the header, names a bad line or lists parse-time violations.
 When the header's edge count equals the number of lines after it, the loop
 first hands those lines to the column reader, which converts a few
-thousand lines at a time by one whitespace split and one map per column;
-the loop reads on by itself only if that reader answers None.  The header
-rejects a vertex count above MAX_VERTICES before anything is allocated by
-it, and both readers reject a weight beyond MAX_WEIGHT_DIGITS before its
-power of ten is built.  random_graph rejects an n above MAX_VERTICES and an
-edge count above MAX_EDGES before drawing.
+thousand lines at a time by one whitespace split and one map per column
+(a column of plain decimals is checked as one string, then mapped to
+Decimal); the loop reads on by itself only if that reader answers None.
+The header rejects a vertex count above MAX_VERTICES before anything is
+allocated by it, and both readers reject a weight beyond MAX_WEIGHT_DIGITS
+before its power of ten is built.  random_graph rejects an n above
+MAX_VERTICES and an edge count above MAX_EDGES before drawing.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import isqrt
-from operator import attrgetter, lt
+from operator import eq, lt
 
 from .errors import (
     DuplicateEdgeError,
@@ -53,7 +60,9 @@ from .errors import (
 )
 
 EdgeKey = tuple[int, int]
-Weight = int | Fraction  # strictly positive; 0 is reserved to mean "absent"
+# Strictly positive; 0 is reserved to mean "absent".  A parsed plain decimal
+# is a Decimal, any other non-integral token a Fraction; all three are exact.
+Weight = int | Decimal | Fraction
 
 
 class Mode(Enum):
@@ -162,13 +171,15 @@ def validate(g: WeightedGraph) -> list[Violation]:
         if not (0 <= a < g.n and 0 <= b < g.n):
             out.append(Violation("vertex-out-of-range", f"edge ({a + 1},{b + 1}) vs n={g.n}"))
         if w <= 0:
-            out.append(Violation("non-positive-weight", f"edge ({a + 1},{b + 1}) has weight {w}"))
+            detail = f"edge ({a + 1},{b + 1}) has weight {_fraction_str(w)}"
+            out.append(Violation("non-positive-weight", detail))
     weights = list(g.edges.values())
     if len(set(weights)) != len(weights):
         seen: set[Weight] = set()
         for w in weights:
             if w in seen:
-                out.append(Violation("duplicate-weight", f"weight {w} used more than once"))
+                detail = f"weight {_fraction_str(w)} used more than once"
+                out.append(Violation("duplicate-weight", detail))
             seen.add(w)
     if g.mode is Mode.STRICT and not out and g._rank_order is None:
         detail = f"strict weights must be exactly 1..{g.q}, got {sorted(weights)}"
@@ -189,40 +200,56 @@ def _bulk_valid(g: WeightedGraph) -> bool:
     )
 
 
-def _distinct_positive(weights) -> bool:
-    """True when the int and Fraction weights are pairwise distinct and > 0.
+def _fraction_str(w: Weight) -> str:
+    """w as messages print it: a Decimal in its Fraction form ("3/2", not
+    "1.50"), so a weight reads the same whichever type holds it."""
+    return str(Fraction(w)) if type(w) is Decimal else str(w)
 
-    A Fraction is normalized (positive denominator, lowest terms), so its
-    sign is its numerator's and its value is identified by (numerator,
-    denominator) -- an int w is (w, 1) -- and no Fraction is hashed.
-    Weights of any other type answer False and go to the per-edge loop.
+
+def _distinct_positive(weights) -> bool:
+    """True when the int, Decimal and Fraction weights are pairwise
+    distinct and > 0; weights of any other type answer False and go to the
+    per-edge loop.
+
+    Equal values have equal floats, and floats hash at once where a
+    Decimal's first hash costs about a microsecond and a Fraction's a
+    modular inverse, so the weights themselves are hashed only when two
+    floats tie or a weight is beyond float range.
     """
-    if not set(map(type, weights)) <= {int, Fraction}:
+    if not set(map(type, weights)) <= {int, Decimal, Fraction}:
         return False
     if not weights:
         return True
-    nums = list(map(attrgetter("numerator"), weights))
-    dens = map(attrgetter("denominator"), weights)
-    return min(nums) > 0 and len(set(zip(nums, dens))) == len(weights)
+    if min(weights) <= 0:
+        return False
+    try:
+        if len(set(map(float, weights))) == len(weights):
+            return True
+    except OverflowError:
+        pass
+    return len(set(weights)) == len(weights)
 
 
 def ranked_edges(g: WeightedGraph) -> list[EdgeKey]:
     """Edge keys in ascending weight order; rank i edge is ranked_edges[i-1].
 
     Weights that are exactly the ints 1..q are never sorted: this is a copy
-    of the graph's rank order.  Any others, whatever the mode, sort by
-    (float(w), w): a correctly rounded float never reverses an order, so
-    only weights whose floats tie are compared exactly, and a weight too
-    large for a float falls back to the exact key.
+    of the graph's rank order.  Ints and Decimals, whatever the mode, sort
+    by the weight itself, compared exactly in C.  Any others, a Fraction
+    among them, sort by (float(w), w): a correctly rounded float never
+    reverses an order, so only weights whose floats tie are compared
+    exactly, and a weight too large for a float falls back to the exact key.
     """
     order = g._rank_order
     if order is not None:
         return order.copy()
     weights = g.edges
     try:
-        return sorted(weights, key=lambda e: (float(weights[e]), weights[e]))
+        if not set(map(type, weights.values())) <= {int, Decimal}:
+            return sorted(weights, key=lambda e: (float(weights[e]), weights[e]))
     except OverflowError:
-        return sorted(weights, key=weights.__getitem__)
+        pass
+    return sorted(weights, key=weights.__getitem__)
 
 
 def weighted_subgraph(g: WeightedGraph, i: int) -> WeightedGraph:
@@ -300,8 +327,9 @@ def _pair_at(n: int, total: int, i: int) -> EdgeKey:
 MAX_VERTICES = 10**7  # largest n of a header or random_graph; the label fold allocates O(n)
 MAX_EDGES = 10**7  # most edges random_graph or extremal.complete_structure builds
 # Largest len(m) + |x| of a weight "<m>e<x>" (len of a token in any other form
-# but a plain integer or decimal): every accepted weight then prints within
-# Python's 4,300-digit int-to-str limit, and Fraction builds no larger 10**|x|.
+# but a plain integer or decimal, and the digit count of those): every
+# accepted weight then prints within Python's 4,300-digit int-to-str limit,
+# and Fraction builds no larger 10**|x|.
 MAX_WEIGHT_DIGITS = 4300
 _COLUMN_CHUNK = 4096  # body lines the column path converts at a time
 _PRED = (-1).__add__  # 1-based vertex number to 0-based index
@@ -372,12 +400,42 @@ def _parse_columns(lines: list[str], start: int) -> dict[EdgeKey, Weight] | None
         try:
             weights = list(map(int, tokens[3::4]))
         except ValueError:
+            weights = _decimal_column(tokens[3::4])
+        if weights is None:
             try:
                 weights = [_parse_weight(token, 0) for token in tokens[3::4]]
             except EdgeListParseError:
                 return None
         edges.update(zip(zip(map(_PRED, us), map(_PRED, vs)), weights))
     return edges if len(edges) == len(lines) - start else None
+
+
+def _decimal_column(column: list[str]) -> list[Weight] | None:
+    """The weights of a column of plain integers and decimals ("51",
+    "123.456"), each a Decimal or, when integral, an int, as _parse_weight
+    gives them; None when any token has another form or more than
+    MAX_WEIGHT_DIGITS characters, and the caller then parses token by token.
+
+    The column is checked as one string: ASCII digits and points only, and
+    a digit before every point (".5" is a Fraction in _parse_weight).
+    Decimal refuses a second point in one token, and reads "5." as 5, the
+    int _parse_weight gives.
+    """
+    text = " " + " ".join(column)
+    if (
+        not text.isascii()
+        or text.encode().translate(None, b"0123456789. ")
+        or " ." in text
+        or max(map(len, column)) > MAX_WEIGHT_DIGITS
+    ):
+        return None
+    try:
+        weights = list(map(Decimal, column))
+    except InvalidOperation:
+        return None
+    for i in compress(count(), map(eq, weights, map(Decimal.to_integral_value, weights))):
+        weights[i] = int(weights[i])
+    return weights
 
 
 def _parse_lines(lines: list[str]):
@@ -453,19 +511,21 @@ def _parse_weight(token: str, line_no: int) -> Weight:
             return int(token)
         except ValueError:
             pass
+    elif token.isascii() and whole.isdigit() and frac.isdigit():
+        # Plain decimal "123.456": held exactly as written, an int when integral.
+        if len(whole) + len(frac) > MAX_WEIGHT_DIGITS:
+            raise EdgeListParseError(line_no, f"cannot parse weight {token!r}")
+        w = Decimal(token)
+        return int(w) if w == w.to_integral_value() else w
     try:  # every ValueError below, too many digits for int() included, is "cannot parse"
-        if dot and token.isascii() and whole.isdigit() and frac.isdigit():
-            # Plain decimal "123.456": the value Fraction(token) gives, without its regex.
-            w = Fraction(int(whole + frac), 10 ** len(frac))
-        else:
-            cut = max(token.rfind("e"), token.rfind("E"))
-            mantissa, exponent = (token[:cut], int(token[cut + 1 :])) if cut > 0 else (token, 0)
-            if len(mantissa) + abs(exponent) > MAX_WEIGHT_DIGITS:
-                Fraction(mantissa + "e0")  # ValueError unless only the size is at fault
-                raise EdgeListParseError(
-                    line_no, f"weight {token!r} is beyond the limit of {MAX_WEIGHT_DIGITS} digits"
-                )
-            w = Fraction(token)
+        cut = max(token.rfind("e"), token.rfind("E"))
+        mantissa, exponent = (token[:cut], int(token[cut + 1 :])) if cut > 0 else (token, 0)
+        if len(mantissa) + abs(exponent) > MAX_WEIGHT_DIGITS:
+            Fraction(mantissa + "e0")  # ValueError unless only the size is at fault
+            raise EdgeListParseError(
+                line_no, f"weight {token!r} is beyond the limit of {MAX_WEIGHT_DIGITS} digits"
+            )
+        w = Fraction(token)
     except ValueError:
         raise EdgeListParseError(line_no, f"cannot parse weight {token!r}") from None
     return int(w) if w.denominator == 1 else w
@@ -487,6 +547,8 @@ def render_edge_list(g: WeightedGraph) -> str:
 
 
 def _weight_str(w: Weight) -> str:
+    if isinstance(w, Decimal):
+        w = Fraction(w)  # the digits the Fraction form gives: "1.5", not "1.50"
     if isinstance(w, int) or w.denominator == 1:
         return str(int(w))
     den = w.denominator

@@ -14,6 +14,7 @@ pairwise-distinct edges.
 from __future__ import annotations
 
 from enum import Enum
+from math import inf
 
 from .graphs import WeightedGraph
 
@@ -91,7 +92,8 @@ def trail_json(g: WeightedGraph, trail: Trail, start: int | None = None) -> dict
     For an empty trail the start vertex must be supplied explicitly.
     Non-integer weights are emitted as floats (display only; the edge-list
     format is the exact round-trip carrier); one beyond float range, or so
-    small that its float is 0.0, raises ValueError.
+    small that its float is 0.0, raises ValueError.  float() raises
+    OverflowError on such a Fraction but gives inf for such a Decimal.
     """
     if trail:
         start = trail[0][0]
@@ -100,6 +102,8 @@ def trail_json(g: WeightedGraph, trail: Trail, start: int | None = None) -> dict
     vertices = [start + 1] + [head + 1 for (_, head) in trail]
     try:
         weights = [w if isinstance(w, int) else float(w) for w in trail_weights(g, trail)]
+        if inf in weights:
+            raise OverflowError
     except OverflowError:
         raise ValueError("a trail weight is beyond float range and has no JSON number") from None
     if 0.0 in weights:  # only a float can be 0 here: an int weight is positive

@@ -271,6 +271,30 @@ class TestMode:
         assert relaxed == default
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "FILE"], ["check", "FILE"], ["extremal", "--exhaustive", "--file", "FILE"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_typo_after_a_subcommand_shows_its_usage(capsys, k4_file, argv):
+    command = argv[0]
+    with pytest.raises(SystemExit) as exc:
+        main([str(k4_file) if a == "FILE" else a for a in argv] + ["--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: monotrails {command} [-h]")
+    assert err.endswith(f"monotrails {command}: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_typo_before_the_subcommand_shows_the_root_usage(capsys, k4_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "compute", str(k4_file)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: monotrails [-h] [--version] {compute,")
+    assert err.endswith("monotrails: error: unrecognized arguments: --bogus\n")
+
+
 def _altered(real, **fields):
     """real with the given fields of its result replaced."""
     return lambda *args: dataclasses.replace(real(*args), **fields)

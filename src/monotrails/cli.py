@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +28,7 @@ from .extremal import (
     min_over_weightings,
     structure_of,
 )
-from .graphs import WeightedGraph, parse_edge_list, random_graph, render_edge_list
+from .graphs import WeightedGraph, _rational, parse_edge_list, random_graph, render_edge_list
 from .labeling import Order, longest_ordered_trail, trail_report_json
 from .oracle import brute_force_longest
 from .trails import Trail, trail_weights
@@ -104,7 +103,7 @@ def _trail_text(g: WeightedGraph, trail: Trail, start: int) -> str:
     chain = "-".join(f"v{v + 1}" for v in vertices)
     if not trail:
         return chain + "  (empty trail)"
-    weights = ", ".join(str(Fraction(w)) for w in trail_weights(g, trail))  # exact: "3/2"
+    weights = ", ".join(str(_rational(w)) for w in trail_weights(g, trail))  # exact: "3/2"
     return f"{chain}  (weights: {weights})"
 
 

@@ -171,14 +171,14 @@ def validate(g: WeightedGraph) -> list[Violation]:
         if not (0 <= a < g.n and 0 <= b < g.n):
             out.append(Violation("vertex-out-of-range", f"edge ({a + 1},{b + 1}) vs n={g.n}"))
         if w <= 0:
-            detail = f"edge ({a + 1},{b + 1}) has weight {_fraction_str(w)}"
+            detail = f"edge ({a + 1},{b + 1}) has weight {_rational(w)}"
             out.append(Violation("non-positive-weight", detail))
     weights = list(g.edges.values())
     if len(set(weights)) != len(weights):
         seen: set[Weight] = set()
         for w in weights:
             if w in seen:
-                detail = f"weight {_fraction_str(w)} used more than once"
+                detail = f"weight {_rational(w)} used more than once"
                 out.append(Violation("duplicate-weight", detail))
             seen.add(w)
     if g.mode is Mode.STRICT and not out and g._rank_order is None:
@@ -200,56 +200,30 @@ def _bulk_valid(g: WeightedGraph) -> bool:
     )
 
 
-def _fraction_str(w: Weight) -> str:
-    """w as messages print it: a Decimal in its Fraction form ("3/2", not
-    "1.50"), so a weight reads the same whichever type holds it."""
-    return str(Fraction(w)) if type(w) is Decimal else str(w)
+def _rational(w: Weight) -> int | Fraction:
+    """w as an int or a Fraction: a Decimal becomes the Fraction of its
+    value, so it prints as one ("3/2", not "1.50") whichever type holds it."""
+    return Fraction(w) if type(w) is Decimal else w
 
 
 def _distinct_positive(weights) -> bool:
     """True when the int, Decimal and Fraction weights are pairwise
-    distinct and > 0; weights of any other type answer False and go to the
-    per-edge loop.
-
-    Equal values have equal floats, and floats hash at once where a
-    Decimal's first hash costs about a microsecond and a Fraction's a
-    modular inverse, so the weights themselves are hashed only when two
-    floats tie or a weight is beyond float range.
-    """
+    distinct and > 0, decided by their min and their set; weights of any
+    other type answer False and go to the per-edge loop."""
     if not set(map(type, weights)) <= {int, Decimal, Fraction}:
         return False
-    if not weights:
-        return True
-    if min(weights) <= 0:
-        return False
-    try:
-        if len(set(map(float, weights))) == len(weights):
-            return True
-    except OverflowError:
-        pass
-    return len(set(weights)) == len(weights)
+    return not weights or (min(weights) > 0 and len(set(weights)) == len(weights))
 
 
 def ranked_edges(g: WeightedGraph) -> list[EdgeKey]:
     """Edge keys in ascending weight order; rank i edge is ranked_edges[i-1].
 
     Weights that are exactly the ints 1..q are never sorted: this is a copy
-    of the graph's rank order.  Ints and Decimals, whatever the mode, sort
-    by the weight itself, compared exactly in C.  Any others, a Fraction
-    among them, sort by (float(w), w): a correctly rounded float never
-    reverses an order, so only weights whose floats tie are compared
-    exactly, and a weight too large for a float falls back to the exact key.
+    of the graph's rank order.  Any others, whatever the mode, sort by the
+    weight itself, an exact comparison.
     """
     order = g._rank_order
-    if order is not None:
-        return order.copy()
-    weights = g.edges
-    try:
-        if not set(map(type, weights.values())) <= {int, Decimal}:
-            return sorted(weights, key=lambda e: (float(weights[e]), weights[e]))
-    except OverflowError:
-        pass
-    return sorted(weights, key=weights.__getitem__)
+    return order.copy() if order is not None else sorted(g.edges, key=g.edges.__getitem__)
 
 
 def weighted_subgraph(g: WeightedGraph, i: int) -> WeightedGraph:
@@ -547,8 +521,7 @@ def render_edge_list(g: WeightedGraph) -> str:
 
 
 def _weight_str(w: Weight) -> str:
-    if isinstance(w, Decimal):
-        w = Fraction(w)  # the digits the Fraction form gives: "1.5", not "1.50"
+    w = _rational(w)  # the digits the Fraction form gives: "1.5", not "1.50"
     if isinstance(w, int) or w.denominator == 1:
         return str(int(w))
     den = w.denominator

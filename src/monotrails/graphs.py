@@ -11,6 +11,9 @@ equals its weight.  Relaxed mode allows arbitrary pairwise-distinct
 positive rationals; the trail algorithms only ever use the ascending weight
 order, so both regimes share all downstream code.  A parsed graph's mode is
 read from its weights, never given: strict exactly when they are 1..q.
+A graph keeps its ascending order: weights that are the ints 1..q are
+placed by rank once, any others sorted once; validate, ranked_edges and
+labeling.find_edge_by_rank all read that one order.
 
 Weights are exact: an integral one is an int, a plain decimal token such
 as "123.456" is decimal.Decimal(token) (m*10^e, compared in C, never put
@@ -21,9 +24,11 @@ The edge-list parser is one line loop, the only code that reads the
 comments and the header, names a bad line or lists parse-time violations.
 When the header's edge count equals the number of lines after it, the loop
 first hands those lines to the column reader, which converts a few
-thousand lines at a time by one whitespace split and one map per column
-(a column of plain decimals is checked as one string, then mapped to
-Decimal); the loop reads on by itself only if that reader answers None.
+thousand lines at a time by one whitespace split, one map over the weight
+column (a column of plain decimals is checked as one string, then mapped
+to Decimal) and a per-file index that converts each distinct vertex token
+once, so the edge keys share one int per vertex; the loop reads on by
+itself only if that reader answers None.
 The header rejects a vertex count above MAX_VERTICES before anything is
 allocated by it, and both readers reject a weight beyond MAX_WEIGHT_DIGITS
 before its power of ten is built.  random_graph rejects an n above
@@ -38,7 +43,7 @@ from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, compress, count
+from itertools import combinations, compress, count, starmap
 from math import isqrt
 from operator import eq, lt
 
@@ -79,7 +84,8 @@ class WeightedGraph:
     (mode read from the weights), complete_graph and random_graph build
     valid graphs; new_graph and add_edge check each edge only, so a strict
     graph they build may fail validate (not-surjective).  Weights that are
-    exactly the ints 1..q are placed by rank once, and kept.
+    exactly the ints 1..q are placed by rank once, any others sorted once,
+    and the order is kept.
     """
 
     n: int
@@ -97,22 +103,39 @@ class WeightedGraph:
 
     @cached_property
     def _rank_order(self) -> list[EdgeKey] | None:
-        """The edges placed at index w - 1 when the weights are exactly the
-        ints 1..q, else None: kept, so a strict graph is ranked once.  q
-        weights in 1..q fill every place only if they are distinct."""
-        q = self.q
-        order: list = [None] * q
-        for edge, w in self.edges.items():
-            if type(w) is not int or not 0 < w <= q:
-                return None
-            order[w - 1] = edge
-        return None if None in order else order
+        """_placed(self.edges), kept: a strict graph is ranked once."""
+        return _placed(self.edges)
+
+    @cached_property
+    def _weight_order(self) -> list[EdgeKey]:
+        """The edges sorted by weight, an exact comparison, kept: read only
+        when _rank_order is None, so a graph is sorted at most once."""
+        return sorted(self.edges, key=self.edges.__getitem__)
+
+    @property
+    def _ascending(self) -> list[EdgeKey]:
+        """The kept ascending weight order, shared: read it, never mutate it."""
+        order = self._rank_order
+        return self._weight_order if order is None else order
 
     def checked(self) -> WeightedGraph:
         """self when it is valid; else InvalidGraphError with its violations."""
         if self.violations:
             raise InvalidGraphError(self.violations)
         return self
+
+
+def _placed(edges: dict[EdgeKey, Weight]) -> list[EdgeKey] | None:
+    """The edges placed at index w - 1 when the weights are exactly the ints
+    1..q, else None.  q weights in 1..q fill every place only if they are
+    distinct."""
+    q = len(edges)
+    order: list = [None] * q
+    for edge, w in edges.items():
+        if type(w) is not int or not 0 < w <= q:
+            return None
+        order[w - 1] = edge
+    return None if None in order else order
 
 
 @dataclass(frozen=True)
@@ -189,14 +212,14 @@ def validate(g: WeightedGraph) -> list[Violation]:
 
 def _bulk_valid(g: WeightedGraph) -> bool:
     """True when validate's loop would find nothing, decided over whole
-    columns: the keys by one 0 <= a < b < n pass, strict weights by the rank
-    order, relaxed ones by sign and distinctness.  False may still be a
-    valid graph (weights of other types); the loop then decides."""
-    n, edges, strict = g.n, g.edges, g.mode is Mode.STRICT
+    columns: the keys by one 0 <= a < b < n pass, the weights by the rank
+    order, or in relaxed mode by sign and distinctness.  False may still be
+    a valid graph (weights of other types); the loop then decides."""
+    n, edges = g.n, g.edges
     return (
         n >= 1
         and all(0 <= a < b < n for a, b in edges)
-        and (g._rank_order is not None if strict else _distinct_positive(edges.values()))
+        and (g._rank_order is not None or (g.mode is Mode.RELAXED and _distinct_positive(g)))
     )
 
 
@@ -206,24 +229,26 @@ def _rational(w: Weight) -> int | Fraction:
     return Fraction(w) if type(w) is Decimal else w
 
 
-def _distinct_positive(weights) -> bool:
+def _distinct_positive(g: WeightedGraph) -> bool:
     """True when the int, Decimal and Fraction weights are pairwise
-    distinct and > 0, decided by their min and their set; weights of any
-    other type answer False and go to the per-edge loop."""
-    if not set(map(type, weights)) <= {int, Decimal, Fraction}:
+    distinct and > 0, decided from the kept weight order: the first weight
+    is > 0 and each is below the next, so no weight is hashed.  Weights of
+    any other type answer False and go to the per-edge loop."""
+    edges = g.edges
+    if not set(map(type, edges.values())) <= {int, Decimal, Fraction}:
         return False
-    return not weights or (min(weights) > 0 and len(set(weights)) == len(weights))
+    weights = list(map(edges.__getitem__, g._weight_order))
+    return not weights or (weights[0] > 0 and all(map(lt, weights, weights[1:])))
 
 
 def ranked_edges(g: WeightedGraph) -> list[EdgeKey]:
     """Edge keys in ascending weight order; rank i edge is ranked_edges[i-1].
 
-    Weights that are exactly the ints 1..q are never sorted: this is a copy
-    of the graph's rank order.  Any others, whatever the mode, sort by the
-    weight itself, an exact comparison.
+    A copy of the graph's kept order: its rank order when the weights are
+    exactly the ints 1..q, which are never sorted, else its one sort by the
+    weight itself, an exact comparison, whatever the mode.
     """
-    order = g._rank_order
-    return order.copy() if order is not None else sorted(g.edges, key=g.edges.__getitem__)
+    return g._ascending.copy()
 
 
 def weighted_subgraph(g: WeightedGraph, i: int) -> WeightedGraph:
@@ -306,7 +331,6 @@ MAX_EDGES = 10**7  # most edges random_graph or extremal.complete_structure buil
 # and Fraction builds no larger 10**|x|.
 MAX_WEIGHT_DIGITS = 4300
 _COLUMN_CHUNK = 4096  # body lines the column path converts at a time
-_PRED = (-1).__add__  # 1-based vertex number to 0-based index
 
 
 def parse_edge_list(text: str) -> WeightedGraph:
@@ -317,9 +341,9 @@ def parse_edge_list(text: str) -> WeightedGraph:
     parse error on the header line.
     """
     n, edges, violations = _parse_lines(text.splitlines())
-    g = WeightedGraph(n=n, edges=edges, mode=Mode.STRICT)
-    if g._rank_order is None:
-        g = WeightedGraph(n=n, edges=edges, mode=Mode.RELAXED)
+    order = _placed(edges)
+    g = WeightedGraph(n=n, edges=edges, mode=Mode.RELAXED if order is None else Mode.STRICT)
+    g.__dict__["_rank_order"] = order  # the placement that chose the mode, kept
     violations.extend(g.violations)
     if violations:
         raise GraphValidationError(violations)
@@ -348,13 +372,19 @@ def _parse_columns(lines: list[str], start: int) -> dict[EdgeKey, Weight] | None
     u < v, else None.
 
     The body is read a chunk at a time as one whitespace split, so each
-    chunk's tokens are four columns.  Any failed check (a line of another
-    kind, a bad token, u >= v, a repeated edge) answers None, and the line
-    loop then reads the body and names the fault.
+    chunk's tokens are four columns.  Each distinct vertex token is
+    converted once per file, so the edge keys share one int per token.  Any
+    failed check (a line of another kind, a bad token, u >= v, a repeated
+    edge) answers None, and the line loop then reads the body and names the
+    fault.
     """
     edges: dict[EdgeKey, Weight] = {}
-    for i in range(start, len(lines), _COLUMN_CHUNK):
+    index: dict[str, int] = {}  # vertex token -> 0-based index
+    vertex = index.__getitem__
+    i = start
+    while i < len(lines):  # a stepped range costs more than this on a one-chunk body
         chunk = lines[i : i + _COLUMN_CHUNK]
+        i += _COLUMN_CHUNK
         body = "\n" + "\n".join(chunk)
         # Every line starts "e ".  A line with other than four fields then
         # shifts a later line's "e" into a number column, where it fails to
@@ -364,12 +394,12 @@ def _parse_columns(lines: list[str], start: int) -> dict[EdgeKey, Weight] | None
         tokens = body.split()
         if len(tokens) != 4 * len(chunk):
             return None
+        us, vs = tokens[1::4], tokens[2::4]
         try:
-            us = list(map(int, tokens[1::4]))
-            vs = list(map(int, tokens[2::4]))
+            for token in us + vs:
+                if token not in index:
+                    index[token] = int(token) - 1
         except ValueError:
-            return None
-        if not all(map(lt, us, vs)):
             return None
         try:
             weights = list(map(int, tokens[3::4]))
@@ -380,8 +410,8 @@ def _parse_columns(lines: list[str], start: int) -> dict[EdgeKey, Weight] | None
                 weights = [_parse_weight(token, 0) for token in tokens[3::4]]
             except EdgeListParseError:
                 return None
-        edges.update(zip(zip(map(_PRED, us), map(_PRED, vs)), weights))
-    return edges if len(edges) == len(lines) - start else None
+        edges.update(zip(zip(map(vertex, us), map(vertex, vs)), weights))
+    return edges if len(edges) == len(lines) - start and all(starmap(lt, edges)) else None
 
 
 def _decimal_column(column: list[str]) -> list[Weight] | None:

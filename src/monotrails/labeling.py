@@ -16,14 +16,16 @@ endpoint's old witness whenever its label improves; ties keep the
 incumbent witness so results are deterministic.
 
 run_labeling_sorted, longest_ordered_trail, label_state_at, get_label and
-final_label_lengths share one private fold, _fold, over ranked_edges: the
-graph's kept rank order when its weights are 1..q, else one sort.  The
-extremal search, which folds millions of orders, writes out labels-only
-copies of the update: per level of its depth-first walk in
+final_label_lengths share one private fold, _fold, over ranked_edges: a
+copy of the graph's kept order, its rank order when its weights are 1..q,
+else its one sort; find_edge_by_rank indexes that order with no copy.
+The extremal search, which folds millions of orders, writes out
+labels-only copies of the update: per level of its depth-first walk in
 extremal._search, and per sampled order in extremal._scan.  _fold keeps
-each witness as a shared-tail cons cell, ((u, v), rest) or None for the
-empty trail, so an improvement costs O(1) instead of a copy of the trail;
-a cell is unrolled into a list only when a caller asks for it.
+each witness as a flat shared-tail cell, (u, v, rest) or None for the
+empty trail, so an improvement costs one tuple instead of a copy of the
+trail; a cell is unrolled into a list of (u, v) steps only when a caller
+asks for it.
 propagate_step keeps the step written out on plain lists: it is the
 single-step reference the fold is tested against.
 
@@ -86,7 +88,7 @@ def find_edge_by_rank(g: WeightedGraph, rank: int) -> EdgeKey:
     endpoints in canonical (min, max) order.  In strict mode rank = weight."""
     if not 1 <= rank <= g.q:
         raise RankOutOfRangeError(f"rank {rank} outside 1..{g.q}")
-    return ranked_edges(g.checked())[rank - 1]
+    return g.checked()._ascending[rank - 1]
 
 
 def propagate_step(state: LabelState, g: WeightedGraph) -> LabelState:
@@ -115,16 +117,15 @@ def _fold(n: int, ranked: Iterable[EdgeKey]) -> tuple[list[int], list]:
     """
     labels = [0] * n
     cells: list = [None] * n
-    for edge in ranked:
-        u, v = edge
+    for u, v in ranked:
         lu, lv = labels[u], labels[v]
         cu, cv = cells[u], cells[v]
         if lv >= lu:
             labels[u] = lv + 1
-            cells[u] = (edge, cv)
+            cells[u] = (u, v, cv)
         if lu >= lv:
             labels[v] = lu + 1
-            cells[v] = ((v, u), cu)
+            cells[v] = (v, u, cu)
     return labels, cells
 
 
@@ -132,8 +133,8 @@ def _unroll(cell) -> Trail:
     """The trail a witness cell stands for, first step first."""
     trail = []
     while cell is not None:
-        step, cell = cell
-        trail.append(step)
+        a, b, cell = cell
+        trail.append((a, b))
     return trail
 
 

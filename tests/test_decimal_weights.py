@@ -57,6 +57,14 @@ def line_loop(text):
         return parse_edge_list(text)
 
 
+def sort_check_answers(monkeypatch) -> list:
+    """Record what each call of graphs._distinct_positive answers."""
+    answers = []
+    check = graphs._distinct_positive
+    monkeypatch.setattr(graphs, "_distinct_positive", lambda g: answers.append(check(g)) or answers[-1])
+    return answers
+
+
 # Plain decimal tokens: ordinary ones, integral ones written with a point,
 # plain integers, decimals whose floats tie, one beyond float range, and
 # zero.  Drawn with repeats, so some files fail validation.
@@ -116,19 +124,42 @@ class TestSameAnswersAsFraction:
         assert brute_force_longest(g) == brute_force_longest(f)
         assert render_edge_list(g) == render_edge_list(f)
 
-    def test_a_duplicate_decimal_weight_keeps_its_message(self):
+    def test_a_duplicate_decimal_weight_keeps_its_message(self, monkeypatch):
         text = "p 3 3\ne 1 2 1.50\ne 2 3 1.5\ne 1 3 2.25\n"
+        answers = sort_check_answers(monkeypatch)
         for parse in (parse_edge_list, line_loop):
             with pytest.raises(GraphValidationError) as exc:
                 parse(text)
             assert str(exc.value) == (
                 "edge list fails validation: duplicate-weight: weight 3/2 used more than once"
             )
+        assert answers == [False, False]
 
-    def test_a_zero_decimal_weight_keeps_its_message(self):
+    def test_a_zero_decimal_weight_keeps_its_message(self, monkeypatch):
+        answers = sort_check_answers(monkeypatch)
         with pytest.raises(GraphValidationError) as exc:
             parse_edge_list("p 3 2\ne 1 2 0.000\ne 2 3 1.5\n")
         assert [v.detail for v in exc.value.violations] == ["edge (1,2) has weight 0"]
+        assert answers == [False]
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            ([Decimal("1.50"), Decimal("1.5"), Decimal("2.25")], False),
+            ([Decimal("1.5"), Fraction(3, 2)], False),
+            ([2, Decimal("0.5"), Fraction(4, 2)], False),
+            ([Decimal("0.000"), Decimal("1.5")], False),
+            ([Decimal("-0.5"), 2], False),
+            ([Decimal("0.5"), 2, Fraction(7, 4), Decimal("1.75001")], True),
+            ([], True),
+        ],
+    )
+    def test_the_kept_order_decides_sign_and_distinctness(self, weights, expected):
+        keys = list(combinations(range(len(weights) + 1), 2))[: len(weights)]
+        g = WeightedGraph(n=len(weights) + 1, edges=dict(zip(keys, weights)), mode=Mode.RELAXED)
+        assert graphs._distinct_positive(g) is expected
+        assert expected == (len(set(weights)) == len(weights) and min(weights, default=1) > 0)
+        assert g._weight_order == sorted(g.edges, key=g.edges.__getitem__)
 
     def test_an_integral_decimal_is_an_int(self):
         w = _parse_weight("3.000", 1)

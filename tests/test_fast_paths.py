@@ -269,6 +269,31 @@ class TestParseDifferential:
             with column_reader_only():
                 assert parse_edge_list(prefix + render_edge_list(g)) == g
 
+    @pytest.mark.parametrize(
+        "text, keys",
+        [
+            ("p 3 2\ne 01 2 1\ne 1 +3 2\n", [(0, 1), (0, 2)]),
+            ("p 3 3\ne 1 +2 1\ne 01 3 2\ne 2 03 3\n", [(0, 1), (0, 2), (1, 2)]),
+            ("p 3 2\ne 01 +2 1\ne 1 2 2\n", None),  # one edge written two ways
+        ],
+    )
+    def test_a_vertex_written_two_ways_is_one_vertex(self, text, keys):
+        with patched(_COLUMN_CHUNK=1):
+            assert_same_outcome(text)
+            if keys is None:
+                assert graphs._parse_columns(text.splitlines(), 1) is None
+            else:
+                with column_reader_only():
+                    assert list(parse_edge_list(text).edges) == keys
+
+    @pytest.mark.parametrize("chunk", [97, graphs._COLUMN_CHUNK])
+    def test_edge_keys_share_one_int_per_vertex(self, chunk):
+        g = random_graph(400, 3000, 5)
+        with patched(_COLUMN_CHUNK=chunk), column_reader_only():
+            parsed = parse_edge_list(render_edge_list(g))
+        assert parsed == g
+        assert len({id(x) for key in parsed.edges for x in key}) <= g.n
+
     @pytest.mark.parametrize("header", ["p 10000001 0", "c lead\np 10000001 0\ne 1 2 1"])
     def test_vertex_count_limit_names_the_header_line(self, header):
         line = header.splitlines().index("p 10000001 0") + 1

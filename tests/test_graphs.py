@@ -4,7 +4,6 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, permutations
 
 import pytest
@@ -170,52 +169,75 @@ class TestValidatedOnce:
 
 
 _PATH_2000 = "p 2001 2000\n" + "".join(f"e {i} {i + 1} {i}\n" for i in range(1, 2001))
+# Weights 2..2001: placing them fails only at the last edge.
+_GAP_2000 = "p 2001 2000\n" + "".join(f"e {i} {i + 1} {i + 1}\n" for i in range(1, 2001))
 
 
 def _count_rank_placements(monkeypatch) -> list:
-    """Patch WeightedGraph._rank_order to record each graph it places."""
+    """Patch graphs._placed to record each edge dictionary it places."""
     calls = []
-    place = WeightedGraph._rank_order.func
-    counted = cached_property(lambda g: calls.append(g) or place(g))
-    counted.__set_name__(WeightedGraph, "_rank_order")
-    monkeypatch.setattr(WeightedGraph, "_rank_order", counted)
+    place = graphs._placed
+    monkeypatch.setattr(graphs, "_placed", lambda edges: calls.append(edges) or place(edges))
+    return calls
+
+
+def _count_sorts(monkeypatch) -> list:
+    """Patch the sorted that graphs calls to record each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "sorted", counted, raising=False)
     return calls
 
 
 class TestRanksCheckedOnce:
-    """Mode inference and validate share one rank placement per parse.
+    """Mode inference, validate and ranking share one rank placement per
+    parse, and a graph whose weights are not the ints 1..q is sorted once,
+    by validate, for every later ranked_edges and longest_ordered_trail.
 
     Each case gives the inferred mode, or the violations of a file that
-    fails, as the parse gave them before the verdict was shared."""
+    fails, as the parse gave them before the verdict was shared, and the
+    number of sorts."""
 
     CASES = {
-        "k4": ("p 4 6\ne 1 2 1\ne 1 3 3\ne 1 4 6\ne 2 3 5\ne 2 4 4\ne 3 4 2\n", Mode.STRICT),
-        "strict_path_2000": (_PATH_2000, Mode.STRICT),
-        "edgeless": ("p 2 0\n", Mode.STRICT),
-        "decimal": ("p 2 1\ne 1 2 0.5\n", Mode.RELAXED),
-        "int_gap": ("p 2 1\ne 1 2 7\n", Mode.RELAXED),
+        "k4": ("p 4 6\ne 1 2 1\ne 1 3 3\ne 1 4 6\ne 2 3 5\ne 2 4 4\ne 3 4 2\n", Mode.STRICT, 0),
+        "strict_path_2000": (_PATH_2000, Mode.STRICT, 0),
+        "edgeless": ("p 2 0\n", Mode.STRICT, 0),
+        "decimal": ("p 2 1\ne 1 2 0.5\n", Mode.RELAXED, 1),
+        "int_gap": ("p 2 1\ne 1 2 7\n", Mode.RELAXED, 1),
+        "int_gap_2000": (_GAP_2000, Mode.RELAXED, 1),
         "ranks_vertex_out_of_range": (
-            "p 2 2\ne 1 2 1\ne 2 3 2\n", [("vertex-out-of-range", "edge (2,3) vs n=2")],
+            "p 2 2\ne 1 2 1\ne 2 3 2\n", [("vertex-out-of-range", "edge (2,3) vs n=2")], 0,
         ),
         "duplicate_weight": (
-            "p 3 2\ne 1 2 1\ne 2 3 1\n", [("duplicate-weight", "weight 1 used more than once")],
+            "p 3 2\ne 1 2 1\ne 2 3 1\n", [("duplicate-weight", "weight 1 used more than once")], 1,
         ),
-        "self_loop": ("p 3 2\ne 1 1 1\ne 2 3 2\n", [("self-loop", "edge at vertex 1")]),
+        "self_loop": ("p 3 2\ne 1 1 1\ne 2 3 2\n", [("self-loop", "edge at vertex 1")], 1),
         "zero_weight": (
-            "p 3 2\ne 1 2 0\ne 2 3 1\n", [("non-positive-weight", "edge (1,2) has weight 0")],
+            "p 3 2\ne 1 2 0\ne 2 3 1\n", [("non-positive-weight", "edge (1,2) has weight 0")], 1,
         ),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_one_rank_check_per_parse(self, monkeypatch, name):
-        text, expected = self.CASES[name]
-        calls = _count_rank_placements(monkeypatch)
+        text, expected, sorts = self.CASES[name]
+        placements, sorted_calls = _count_rank_placements(monkeypatch), _count_sorts(monkeypatch)
         try:
-            result = parse_edge_list(text).mode
+            g = parse_edge_list(text)
         except GraphValidationError as exc:
             result = [(v.kind, v.detail) for v in exc.violations]
+        else:
+            result = g.mode
+            ranked = ranked_edges(g)
+            for kind in Order:
+                longest_ordered_trail(g, kind)
+            assert ranked_edges(g) == ranked == sorted(g.edges, key=g.edges.__getitem__)
         assert result == expected
-        assert len(calls) == 1
+        assert len(placements) == 1
+        assert len(sorted_calls) == sorts
 
 
 class TestWeightedSubgraph:

@@ -20,6 +20,7 @@ from monotrails import (
     longest_ordered_trail,
     new_graph,
     propagate_step,
+    ranked_edges,
     run_labeling_sorted,
     weighted_subgraph,
 )
@@ -28,7 +29,8 @@ from monotrails.errors import (
     RankOutOfRangeError,
     StepExhaustedError,
 )
-from monotrails.labeling import final_label_lengths, trail_report_json
+from monotrails import labeling
+from monotrails.labeling import _fold, _unroll, final_label_lengths, trail_report_json
 
 from strategies import any_graphs, strict_graphs
 
@@ -63,6 +65,25 @@ class TestFindEdgeByRank:
         )
         assert find_edge_by_rank(g, 1) == (1, 2)
         assert find_edge_by_rank(g, 3) == (0, 2)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(4, [1, 3, 6, 5, 4, 2]),
+            WeightedGraph(n=3, edges={(0, 1): Fraction(5, 4), (1, 2): 7, (0, 2): 2}, mode=Mode.RELAXED),
+        ],
+        ids=["strict", "relaxed"],
+    )
+    def test_a_mutated_ranked_list_changes_no_later_answer(self, monkeypatch, g):
+        expected = sorted(g.edges, key=g.edges.__getitem__)
+        ranked = ranked_edges(g)
+        ranked.reverse()
+        ranked[0] = (7, 8)
+        # The rank is read from the kept order, with no copy of it.
+        monkeypatch.setattr(labeling, "ranked_edges", lambda g: pytest.fail("copied"))
+        assert [find_edge_by_rank(g, rank) for rank in range(1, g.q + 1)] == expected
+        monkeypatch.undo()
+        assert ranked_edges(g) == expected
 
 
 class TestPropagateStep:
@@ -324,3 +345,11 @@ def test_complete_graph_labels_reach_n_minus_one():
             random.Random(seed).shuffle(weights)
             g = complete_graph(n, weights)
             assert longest_ordered_trail(g, Order.DECREASING).optimum >= n - 1
+
+
+def test_witness_cells_are_flat():
+    # One (u, v, rest) tuple per improvement; steps are built only on unrolling.
+    labels, cells = _fold(3, [(0, 1), (1, 2)])
+    assert labels == [1, 1, 2]
+    assert cells == [(0, 1, None), (1, 0, None), (2, 1, (1, 0, None))]
+    assert _unroll(cells[2]) == [(2, 1), (1, 0)] and _unroll(None) == []

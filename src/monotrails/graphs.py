@@ -15,19 +15,19 @@ A graph keeps its ascending order: weights that are the ints 1..q are
 placed by rank once, any others sorted once; validate, ranked_edges and
 labeling.find_edge_by_rank all read that one order.
 
-Weights are exact: an integral one is an int, a plain decimal token such
-as "123.456" is decimal.Decimal(token) (m*10^e, compared in C, never put
-through arithmetic, printed in its Fraction form "15432/125"), and any
-other token, such as "2.5e-1" or ".5", is a Fraction.
+Weights are exact: an integral one is an int, any other the Decimal of its
+token (m*10^e, compared in C, never put through arithmetic, printed in its
+Fraction form "15432/125"), read by one rule on every Python: see
+_parse_weight.
 
 The edge-list parser is one line loop, the only code that reads the
 comments and the header, names a bad line or lists parse-time violations.
 When the header's edge count equals the number of lines after it, the loop
 first hands those lines to the column reader, which converts a few
 thousand lines at a time by one whitespace split, one map over the weight
-column (a column of plain decimals is checked as one string, then mapped
-to Decimal) and a per-file index that converts each distinct vertex token
-once, so the edge keys share one int per vertex; the loop reads on by
+column (a column of digits and points is checked as one string, then
+mapped to Decimal) and a per-file index that converts each distinct vertex
+token once, so the edge keys share one int per vertex; the loop reads on by
 itself only if that reader answers None.
 The header rejects a vertex count above MAX_VERTICES before anything is
 allocated by it, and both readers reject a weight beyond MAX_WEIGHT_DIGITS
@@ -38,6 +38,7 @@ MAX_VERTICES and an edge count above MAX_EDGES before drawing.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -65,8 +66,8 @@ from .errors import (
 )
 
 EdgeKey = tuple[int, int]
-# Strictly positive; 0 is reserved to mean "absent".  A parsed plain decimal
-# is a Decimal, any other non-integral token a Fraction; all three are exact.
+# Strictly positive; 0 is reserved to mean "absent".  A parsed non-integral
+# weight is a Decimal; a hand-built graph may also hold a Fraction.  All are exact.
 Weight = int | Decimal | Fraction
 
 
@@ -325,11 +326,11 @@ def _pair_at(n: int, total: int, i: int) -> EdgeKey:
 
 MAX_VERTICES = 10**7  # largest n of a header or random_graph; the label fold allocates O(n)
 MAX_EDGES = 10**7  # most edges random_graph or extremal.complete_structure builds
-# Largest len(m) + |x| of a weight "<m>e<x>" (len of a token in any other form
-# but a plain integer or decimal, and the digit count of those): every
-# accepted weight then prints within Python's 4,300-digit int-to-str limit,
-# and Fraction builds no larger 10**|x|.
+# Most digits of a plain integer or decimal, largest len(m) + |x| of any other
+# form "<m>e<x>" (len(m) without an exponent): every accepted weight then
+# prints within Python's 4,300-digit int-to-str limit, and no larger 10**|x|.
 MAX_WEIGHT_DIGITS = 4300
+_STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")  # a "_" without a digit on each side
 _COLUMN_CHUNK = 4096  # body lines the column path converts at a time
 
 
@@ -405,31 +406,24 @@ def _parse_columns(lines: list[str], start: int) -> dict[EdgeKey, Weight] | None
             weights = list(map(int, tokens[3::4]))
         except ValueError:
             weights = _decimal_column(tokens[3::4])
-        if weights is None:
-            try:
-                weights = [_parse_weight(token, 0) for token in tokens[3::4]]
-            except EdgeListParseError:
+            if weights is None:
                 return None
         edges.update(zip(zip(map(vertex, us), map(vertex, vs)), weights))
     return edges if len(edges) == len(lines) - start and all(starmap(lt, edges)) else None
 
 
 def _decimal_column(column: list[str]) -> list[Weight] | None:
-    """The weights of a column of plain integers and decimals ("51",
-    "123.456"), each a Decimal or, when integral, an int, as _parse_weight
-    gives them; None when any token has another form or more than
-    MAX_WEIGHT_DIGITS characters, and the caller then parses token by token.
-
-    The column is checked as one string: ASCII digits and points only, and
-    a digit before every point (".5" is a Fraction in _parse_weight).
-    Decimal refuses a second point in one token, and reads "5." as 5, the
-    int _parse_weight gives.
+    """The weights of a column of digits and points ("51", "123.456", ".5"),
+    each a Decimal or, when integral, an int, as _parse_weight gives them,
+    checked as one string of ASCII digits, points and spaces; None when a
+    token has another form or more than MAX_WEIGHT_DIGITS characters, and
+    the line loop then reads the file.  Decimal refuses a token of two points
+    or of a point alone, and reads "5." as 5, the int _parse_weight gives.
     """
     text = " " + " ".join(column)
     if (
         not text.isascii()
         or text.encode().translate(None, b"0123456789. ")
-        or " ." in text
         or max(map(len, column)) > MAX_WEIGHT_DIGITS
     ):
         return None
@@ -507,6 +501,9 @@ def _parse_lines(lines: list[str]):
 
 
 def _parse_weight(token: str, line_no: int) -> Weight:
+    """int(token), else the finite Decimal(token) with every "_" between two
+    digits, an int when integral.  Plain digits, with or without one inner
+    point, may number MAX_WEIGHT_DIGITS; any other "<m>e<x>", len(m) + |x|."""
     if "/" in token:
         raise EdgeListParseError(line_no, f"weight {token!r} must be an integer or decimal")
     whole, dot, frac = token.partition(".")
@@ -515,24 +512,26 @@ def _parse_weight(token: str, line_no: int) -> Weight:
             return int(token)
         except ValueError:
             pass
-    elif token.isascii() and whole.isdigit() and frac.isdigit():
-        # Plain decimal "123.456": held exactly as written, an int when integral.
-        if len(whole) + len(frac) > MAX_WEIGHT_DIGITS:
-            raise EdgeListParseError(line_no, f"cannot parse weight {token!r}")
-        w = Decimal(token)
-        return int(w) if w == w.to_integral_value() else w
-    try:  # every ValueError below, too many digits for int() included, is "cannot parse"
-        cut = max(token.rfind("e"), token.rfind("E"))
-        mantissa, exponent = (token[:cut], int(token[cut + 1 :])) if cut > 0 else (token, 0)
-        if len(mantissa) + abs(exponent) > MAX_WEIGHT_DIGITS:
-            Fraction(mantissa + "e0")  # ValueError unless only the size is at fault
-            raise EdgeListParseError(
-                line_no, f"weight {token!r} is beyond the limit of {MAX_WEIGHT_DIGITS} digits"
-            )
-        w = Fraction(token)
-    except ValueError:
+    try:  # every error below, too many digits for int() included, is "cannot parse"
+        if token.isascii() and whole.isdigit() and (frac.isdigit() or not dot):
+            if len(whole) + len(frac) > MAX_WEIGHT_DIGITS:
+                raise ValueError
+            w = Decimal(token)
+        elif "_" in token and _STRAY_UNDERSCORE.search(token):  # Decimal skips any "_"
+            raise ValueError
+        else:
+            cut = max(token.rfind("e"), token.rfind("E"))
+            mantissa, exponent = (token[:cut], int(token[cut + 1 :])) if cut > 0 else (token, 0)
+            if len(mantissa) + abs(exponent) > MAX_WEIGHT_DIGITS:
+                Decimal(mantissa + "e0")  # InvalidOperation unless only the size is at fault
+                raise EdgeListParseError(
+                    line_no, f"weight {token!r} is beyond the limit of {MAX_WEIGHT_DIGITS} digits"
+                )
+            if not (w := Decimal(token)).is_finite():
+                raise ValueError
+    except (ValueError, InvalidOperation):
         raise EdgeListParseError(line_no, f"cannot parse weight {token!r}") from None
-    return int(w) if w.denominator == 1 else w
+    return int(w) if w == w.to_integral_value() else w
 
 
 def render_edge_list(g: WeightedGraph) -> str:

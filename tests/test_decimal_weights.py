@@ -1,10 +1,11 @@
-"""Plain decimal weights held as Decimal.
+"""Decimal weights.
 
-A plain decimal token ("123.456") is parsed to Decimal(token), an int when
-integral, by both readers, and never to a Fraction.  Every answer must be
-the one the same graph gives with each Decimal replaced by its Fraction:
-validation with its messages, the rank order, both trails, the oracle,
-the JSON trail, the text trail and the rendered edge list.
+A non-integral weight token ("123.456", ".5", "2.5e-1") is parsed to
+Decimal(token), an int when integral, by both readers, and never to a
+Fraction.  Every answer must be the one the same graph gives with each
+Decimal replaced by its Fraction: validation with its messages, the rank
+order, both trails, the oracle, the JSON trail, the text trail and the
+rendered edge list.
 """
 
 import random
@@ -184,12 +185,15 @@ class TestSameAnswersAsFraction:
 
     @pytest.mark.parametrize("token", [".5", "5.", "1.", "0.50", "1e3", "+1.5", "1_0.5"])
     def test_both_readers_give_the_same_type(self, token):
-        # Only digits on both sides of the point make a Decimal; ".5" and
-        # "+1.5" stay Fractions, and "5." is the int 5, in either reader.
+        # Every non-integral weight is a Decimal and every integral one an
+        # int, "5." and "1e3" too, in either reader.
         text = f"p 3 2\ne 1 2 {token}\ne 2 3 1234.5678\n"
         by_columns, by_lines = parse_edge_list(text), line_loop(text)
         assert by_columns == by_lines
         assert list(map(type, by_columns.edges.values())) == list(map(type, by_lines.edges.values()))
+        expected = Fraction(token.replace("_", ""))
+        w = by_columns.edges[(0, 1)]
+        assert w == expected and type(w) is (int if expected.denominator == 1 else Decimal)
 
     def test_a_hand_built_mix_of_decimal_fraction_and_int(self):
         # A 4-cycle weighted 2, 7/4, 1.5, 0.5 around: one decreasing trail of 4.
@@ -221,12 +225,24 @@ def _perfbench_style_file(n=200, q=5000, seed=1):
     return "\n".join(lines) + "\n"
 
 
+# Forms other than plain decimals, each in its own file (two are 1.5); the
+# comment after the header sends each file to the line loop.
+_OTHER_FORMS = [".5", "+1.5", "5.", "2.5e-1", "\u0661.\u0665", "1_0.5", "1E-4_299"]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [(FIXTURES / "relaxed_decimal.txt").read_text(), _perfbench_style_file()],
-    ids=["fixture", "perfbench-style"],
+    "texts, by_columns",
+    [
+        pytest.param([(FIXTURES / "relaxed_decimal.txt").read_text()], True, id="fixture"),
+        pytest.param([_perfbench_style_file()], True, id="perfbench-style"),
+        pytest.param(
+            [f"p 3 2\nc other forms\ne 1 2 {token}\ne 2 3 1234.5678\n" for token in _OTHER_FORMS],
+            False,
+            id="other-forms",
+        ),
+    ],
 )
-def test_plain_decimal_files_build_no_fraction(monkeypatch, text):
+def test_plain_decimal_files_build_no_fraction(monkeypatch, texts, by_columns):
     built, answers = [], []
 
     class CountingFraction(Fraction):
@@ -239,12 +255,17 @@ def test_plain_decimal_files_build_no_fraction(monkeypatch, text):
 
     parse_columns = graphs._parse_columns
     monkeypatch.setattr(graphs, "Fraction", CountingFraction)
-    monkeypatch.setattr(graphs, "_parse_weight", no_token_by_token)
+    if by_columns:
+        monkeypatch.setattr(graphs, "_parse_weight", no_token_by_token)
     monkeypatch.setattr(
         graphs, "_parse_columns", lambda *a: answers.append(parse_columns(*a)) or answers[-1]
     )
-    g = parse_edge_list(text)
-    ranked_edges(g)
-    assert answers[0] is not None and g.mode is Mode.RELAXED
-    assert {int, Decimal} <= set(map(type, g.edges.values()))
+    types = set()
+    for text in texts:
+        g = parse_edge_list(text)
+        ranked_edges(g)
+        assert g.mode is Mode.RELAXED
+        types.update(map(type, g.edges.values()))
+    assert (answers[0] is not None) if by_columns else answers == []
+    assert types == {int, Decimal}
     assert built == []

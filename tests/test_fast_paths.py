@@ -10,7 +10,9 @@ answer None and False.
 """
 
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
+from itertools import pairwise, product
 
 import pytest
 from hypothesis import given, settings
@@ -54,9 +56,8 @@ def per_edge_loop(g):
 def column_reader_only():
     """Fail unless the block's one parse hands its body to the column reader
     and keeps what it answers.  An 'e' line that reaches the line loop's
-    per-line branch fails at once: that branch parses each weight with its
-    line number, where the column reader passes 0."""
-    parse_columns, parse_weight = graphs._parse_columns, graphs._parse_weight
+    per-line branch fails at once: only that branch calls _parse_weight."""
+    parse_columns = graphs._parse_columns
     answers = []
 
     def columns(lines, start):
@@ -64,8 +65,7 @@ def column_reader_only():
         return answers[-1]
 
     def weight(token, line_no):
-        assert line_no == 0, f"line {line_no} reached the per-line branch"
-        return parse_weight(token, line_no)
+        raise AssertionError(f"line {line_no} reached the per-line branch")
 
     with patched(_parse_columns=columns, _parse_weight=weight):
         yield
@@ -87,6 +87,27 @@ def outcome(parse, text):
 
 def assert_same_outcome(text):
     assert outcome(parse_edge_list, text) == outcome(line_loop, text)
+
+
+def _int_reads(token):
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _fraction_reads(token):
+    """Fraction(token) with its "_" removed, or None: also when a "_" lacks a
+    digit on either side or the token holds a "/"."""
+    if "/" in token or not all(
+        a[-1:].isdecimal() and b[:1].isdecimal() for a, b in pairwise(token.split("_"))
+    ):
+        return None
+    try:
+        return Fraction(token.replace("_", ""))
+    except ValueError:
+        return None
 
 
 # --- mutations of a well-formed file ---------------------------------------
@@ -240,6 +261,39 @@ class TestParseDifferential:
         for chunk in (1, 2, graphs._COLUMN_CHUNK):
             with patched(_COLUMN_CHUNK=chunk):
                 assert_same_outcome(text)
+
+    def test_every_short_weight_token_reads_as_fraction_does(self):
+        # Each token int() refuses of up to 4 characters over this alphabet
+        # is read exactly when Fraction, on any Python, reads it with its "_"
+        # removed, every "_" between two digits and no "/": as that value,
+        # an int when whole, else a Decimal.  Both readers then agree; the
+        # column reader reads each valid token of digits and points and
+        # hands any other to the line loop, which names a bad token's line.
+        tokens = [
+            token
+            for size in range(1, 5)
+            for token in map("".join, product("01.+-eE_\u0661x/", repeat=size))
+            if not _int_reads(token)
+        ]
+        for token in tokens:
+            expected = _fraction_reads(token)
+            try:
+                w = graphs._parse_weight(token, 1)
+            except EdgeListParseError:
+                assert expected is None, token
+                continue
+            assert expected is not None, token
+            assert w == expected and type(w) is (int if expected.denominator == 1 else Decimal), token
+        texts = [f"p 4 3\ne 1 2 7\ne 2 3 {token}\ne 3 4 1234.5678\n" for token in tokens]
+        for token, text in zip(tokens, texts):
+            by_columns = not token.strip("0123456789.") and _fraction_reads(token) is not None
+            assert (graphs._parse_columns(text.splitlines(), 1) is not None) == by_columns, token
+        with patched(_parse_columns=lambda lines, start: None):
+            by_lines = [outcome(parse_edge_list, text) for text in texts]
+        for chunk in (1, graphs._COLUMN_CHUNK):
+            with patched(_COLUMN_CHUNK=chunk):
+                for text, expected in zip(texts, by_lines):
+                    assert outcome(parse_edge_list, text) == expected, text
 
     @settings(max_examples=60)
     @given(

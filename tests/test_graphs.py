@@ -438,12 +438,12 @@ class TestRankedEdges:
 
 
 def _assert_parses_like_fraction(token):
-    """_parse_weight gives Fraction(token), normalised to int when whole."""
-    expected = Fraction(token)
-    if expected.denominator == 1:
-        expected = int(expected)
+    """_parse_weight gives the value Fraction reads from the token with its
+    "_" removed (every Python reads that), as an int when whole, else as a
+    Decimal."""
+    expected = Fraction(token.replace("_", ""))
     w = _parse_weight(token, 1)
-    assert w == expected and type(w) is type(expected)
+    assert w == expected and type(w) is (int if expected.denominator == 1 else Decimal)
 
 
 class TestParseWeight:
@@ -464,7 +464,12 @@ class TestParseWeight:
     def test_other_forms_take_the_fraction_path(self, token):
         _assert_parses_like_fraction(token)
 
-    @pytest.mark.parametrize("token", ["\u00b2.5", "1.2.3", "1..5", "x.5", "."])
+    # Decimal reads the last nine (it skips every "_"); Fraction reads none.
+    @pytest.mark.parametrize(
+        "token",
+        ["\u00b2.5", "1.2.3", "1..5", "x.5", ".", "inf", "-Infinity", "nan", "sNaN"]
+        + ["1__0.5", "_1.5", "1_.5", "1.5_", "1e_5"],
+    )
     def test_malformed_decimals_are_parse_errors(self, token):
         with pytest.raises(EdgeListParseError):
             _parse_weight(token, 7)
@@ -486,6 +491,9 @@ class TestParseWeight:
             "1e4300", "1E-4_300", "5.5e+\u0664\u0662\u0669\u0668",
             pytest.param("." + "0" * 4299 + "1", id="point-4300-digits"),
             "1e10001", "1E-10_001", "5.5e+\u0661\u0660\u0660\u0660\u0661",
+            # Not a plain number, so measured by length, even where int()
+            # would refuse its 4301-digit whole part.
+            pytest.param("+" + "1" * 4301 + ".5", id="signed-4302-digits"),
         ],
     )
     def test_exponents_above_the_limit_are_parse_errors(self, token):

@@ -33,7 +33,10 @@ from .labeling import Order, longest_ordered_trail, trail_report_json
 from .oracle import brute_force_longest
 from .trails import Trail, trail_weights
 
-ORACLE_MAX_N = 9  # brute force is exponential: oracle refuses larger n, check skips it
+# The oracle's prefix count (nodes_explored) grows exponentially with n, but
+# its search, memoised per arc, takes polynomial time.  The cap stays because
+# it decides check's output: oracle refuses a larger n and check skips it.
+ORACLE_MAX_N = 9
 
 
 class _SubcommandParser(argparse.ArgumentParser):

@@ -416,15 +416,18 @@ def _decimal_column(column: list[str]) -> list[Weight] | None:
     """The weights of a column of digits and points ("51", "123.456", ".5"),
     each a Decimal or, when integral, an int, as _parse_weight gives them,
     checked as one string of ASCII digits, points and spaces; None when a
-    token has another form or more than MAX_WEIGHT_DIGITS characters, and
-    the line loop then reads the file.  Decimal refuses a token of two points
-    or of a point alone, and reads "5." as 5, the int _parse_weight gives.
+    token has another form or is over _parse_weight's limit, and the line
+    loop then reads the file.  That limit counts the digits of a token with
+    an inner point and the characters of any other ("5.", ".5", an integer).
+    Decimal refuses a token of two points or of a point alone, and reads
+    "5." as 5, the int _parse_weight gives.
     """
     text = " " + " ".join(column)
     if (
         not text.isascii()
         or text.encode().translate(None, b"0123456789. ")
         or max(map(len, column)) > MAX_WEIGHT_DIGITS
+        and any(len(t) - ("." in t[1:-1]) > MAX_WEIGHT_DIGITS for t in column)
     ):
         return None
     try:

@@ -183,6 +183,29 @@ class TestSameAnswersAsFraction:
             parse(f"p 3 2\ne 1 2 {above}\ne 2 3 1.5\n")
         assert str(exc.value) == f"line 2: cannot parse weight {above!r}"
 
+    def test_the_column_reader_counts_the_digits_of_a_plain_decimal(self):
+        at_limit = "1" * (MAX_WEIGHT_DIGITS - 1) + ".5"  # one character more than digits
+        assert graphs._decimal_column([at_limit, "1.5"]) == [Decimal(at_limit), Decimal("1.5")]
+        # An integer, or a point at either end, is measured by its length, as
+        # _parse_weight measures it, so the line loop reads and refuses it.
+        digits = "1" * MAX_WEIGHT_DIGITS
+        for above in [digits + "1", digits + ".", "." + digits]:
+            assert graphs._decimal_column([above, "1.5"]) is None
+
+    @pytest.mark.parametrize("parse", [parse_edge_list, line_loop], ids=["columns", "lines"])
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("1" * (MAX_WEIGHT_DIGITS + 1), "cannot parse weight {!r}"),
+            ("1" * MAX_WEIGHT_DIGITS + ".", "weight {!r} is beyond the limit of 4300 digits"),
+        ],
+        ids=["integer-4301-digits", "trailing-point-4301-characters"],
+    )
+    def test_tokens_over_the_limit_keep_the_line_loop_message(self, parse, token, message):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse(f"p 3 2\ne 1 2 {token}\ne 2 3 1.5\n")
+        assert str(exc.value) == "line 2: " + message.format(token)
+
     @pytest.mark.parametrize("token", [".5", "5.", "1.", "0.50", "1e3", "+1.5", "1_0.5"])
     def test_both_readers_give_the_same_type(self, token):
         # Every non-integral weight is a Decimal and every integral one an

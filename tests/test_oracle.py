@@ -17,6 +17,8 @@ from monotrails import (
     enumerate_dec_trails_from,
     is_ordered_trail,
     new_graph,
+    random_graph,
+    ranked_edges,
     run_labeling_sorted,
     weighted_subgraph,
 )
@@ -46,6 +48,18 @@ def plain_longest(g):
 
     per_vertex = [longest(v, None) for v in range(g.n)]
     return per_vertex, max(per_vertex), nodes
+
+
+def folded_prefix_count(g):
+    """The specification of nodes_explored on graphs too big for
+    plain_longest: cnt[u] counts the decreasing trail prefixes from u, the
+    empty one included, over the edges folded so far.  Each edge is heavier
+    than all before it, so it can only be a prefix's first step: u -> v
+    followed by any prefix from v, and v -> u likewise."""
+    cnt = [1] * g.n
+    for u, v in ranked_edges(g):
+        cnt[u], cnt[v] = cnt[u] + cnt[v], cnt[v] + cnt[u]
+    return sum(cnt)
 
 
 class TestEnumerateDecTrailsFrom:
@@ -203,6 +217,29 @@ class TestAgainstThePlainSearch:
         result = brute_force_longest(g)
         assert (result.per_vertex, result.optimum, result.nodes_explored) == plain_longest(g)
         assert result.per_vertex == [2, 1, 1]
+
+
+class TestAgainstTheCountFold:
+    """The memoised search on graphs whose prefixes the plain search could
+    not walk: lengths from label propagation, the count from the fold."""
+
+    @settings(max_examples=150)
+    @given(st.one_of(any_graphs(max_n=7), float_trap_graphs(max_n=7)))
+    def test_the_fold_counts_what_the_plain_search_visits(self, g):
+        assert folded_prefix_count(g) == plain_longest(g)[2]
+
+    @settings(max_examples=60)
+    @given(st.one_of(any_graphs(max_n=20), float_trap_graphs(max_n=20)))
+    def test_lengths_and_count_up_to_twenty_vertices(self, g):
+        result = brute_force_longest(g)
+        assert result.per_vertex == run_labeling_sorted(g).labels
+        assert result.nodes_explored == folded_prefix_count(g)
+
+    def test_dense_twenty_vertex_graph(self):
+        g = random_graph(20, 190, 1)
+        result = brute_force_longest(g)
+        assert result.nodes_explored == folded_prefix_count(g) == 883_953_718
+        assert result.per_vertex == run_labeling_sorted(g).labels
 
 
 def test_searches_leave_no_cyclic_garbage():

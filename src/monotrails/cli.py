@@ -34,8 +34,8 @@ from .oracle import brute_force_longest
 from .trails import Trail, trail_weights
 
 # The oracle's prefix count (nodes_explored) grows exponentially with n, but
-# its search, memoised per arc, takes polynomial time.  The cap stays because
-# it decides check's output: oracle refuses a larger n and check skips it.
+# its one pass over the arcs takes polynomial time.  The cap stays because it
+# decides check's output: oracle refuses a larger n and check skips it.
 ORACLE_MAX_N = 9
 
 

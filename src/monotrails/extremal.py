@@ -64,6 +64,10 @@ from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import Order, TrailReport, _fold, longest_ordered_trail
 
 EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 is one task, about 0.1 s
+# A sampled search holds about 320 bytes per edge: one-sample K_1415 and K_2000
+# searches peaked at 332 and 645 MB under a 1 GiB RLIMIT_AS, so this guard
+# keeps one near a third of 1 GiB.
+SAMPLED_MAX_EDGES = 10**6
 
 
 @dataclass(frozen=True)
@@ -334,6 +338,8 @@ def check_search(q: int, mode: Exhaustive | Sampled, jobs: int) -> None:
         raise ExhaustiveTooLargeError(
             f"q={q} exceeds the exhaustive guard of {EXHAUSTIVE_MAX_EDGES}; use Sampled mode"
         )
+    if isinstance(mode, Sampled) and q > SAMPLED_MAX_EDGES:
+        raise TooManyEdgesError(f"q={q} exceeds the sampled guard of {SAMPLED_MAX_EDGES}")
 
 
 def min_over_weightings(
@@ -349,8 +355,8 @@ def min_over_weightings(
     set and the structure is complete with n >= 3 (reduction factor 1
     otherwise, and always in Sampled mode).  Sampled mode draws `count`
     uniform weight permutations from the given seed via Fisher-Yates
-    (random.Random).  `examined` is the number of weightings the run
-    covers: q!, q!/n! reduced, or `count`.
+    (random.Random), for q <= SAMPLED_MAX_EDGES.  `examined` is the number
+    of weightings the run covers: q!, q!/n! reduced, or `count`.
     Results, including the witness, are identical for any `jobs` >= 1.
     Only plain exhaustive runs start workers, at most min(jobs, usable
     CPUs, tasks); sampled and reduced runs search in the calling process.

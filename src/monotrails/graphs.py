@@ -108,16 +108,12 @@ class WeightedGraph:
         return _placed(self.edges)
 
     @cached_property
-    def _weight_order(self) -> list[EdgeKey]:
-        """The edges sorted by weight, an exact comparison, kept: read only
-        when _rank_order is None, so a graph is sorted at most once."""
-        return sorted(self.edges, key=self.edges.__getitem__)
-
-    @property
     def _ascending(self) -> list[EdgeKey]:
-        """The kept ascending weight order, shared: read it, never mutate it."""
+        """The edges in ascending weight, kept and shared (read it, never
+        mutate it): the rank order, else one sort by the weight itself, an
+        exact comparison."""
         order = self._rank_order
-        return self._weight_order if order is None else order
+        return sorted(self.edges, key=self.edges.__getitem__) if order is None else order
 
     def checked(self) -> WeightedGraph:
         """self when it is valid; else InvalidGraphError with its violations."""
@@ -238,7 +234,7 @@ def _distinct_positive(g: WeightedGraph) -> bool:
     edges = g.edges
     if not set(map(type, edges.values())) <= {int, Decimal, Fraction}:
         return False
-    weights = list(map(edges.__getitem__, g._weight_order))
+    weights = list(map(edges.__getitem__, g._ascending))
     return not weights or (weights[0] > 0 and all(map(lt, weights, weights[1:])))
 
 

@@ -375,8 +375,8 @@ class TestOracle:
         assert code == 0 and "agreement: ok" in out
 
     def test_vertex_count_above_the_limit_exits_2(self, capsys, tmp_path):
-        # Weights falling along a 1,500-vertex path give a 1,499-step trail,
-        # deeper than the brute force's recursion may go.
+        # A 1,500-vertex path with falling weights: the oracle could take it
+        # (one 1,499-step trail), but the cap decides oracle's output.
         n = 1500
         path = tmp_path / "path.txt"
         edges = [f"e {i} {i + 1} {n - i}" for i in range(1, n)]
@@ -474,6 +474,16 @@ class TestExtremal:
         run = run_limited("extremal", "--complete", "4472", "--exhaustive", mib=256)
         assert (run.returncode, run.stdout, run.stderr) == (
             2, "", "error: q=9997156 exceeds the exhaustive guard of 10; use Sampled mode\n"
+        )
+
+    def test_oversized_sample_is_refused_before_the_structure_is_built(self, capsys, monkeypatch):
+        # K_4472's 9,997,156 edges are under MAX_EDGES, but sampling them would take about 3 GB.
+        def build(n):
+            raise AssertionError(f"K_{n} built")
+
+        monkeypatch.setattr(cli, "complete_structure", build)
+        assert run_cli(capsys, "extremal", "--complete", "4472", "--sample", "1") == (
+            2, "", "error: q=9997156 exceeds the sampled guard of 1000000\n"
         )
 
     @pytest.mark.parametrize("n, err", [

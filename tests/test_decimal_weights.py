@@ -160,7 +160,7 @@ class TestSameAnswersAsFraction:
         g = WeightedGraph(n=len(weights) + 1, edges=dict(zip(keys, weights)), mode=Mode.RELAXED)
         assert graphs._distinct_positive(g) is expected
         assert expected == (len(set(weights)) == len(weights) and min(weights, default=1) > 0)
-        assert g._weight_order == sorted(g.edges, key=g.edges.__getitem__)
+        assert g._ascending == sorted(g.edges, key=g.edges.__getitem__)
 
     def test_an_integral_decimal_is_an_int(self):
         w = _parse_weight("3.000", 1)

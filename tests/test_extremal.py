@@ -32,7 +32,12 @@ from monotrails import (
     structure_of,
 )
 from monotrails import extremal
-from monotrails.errors import ExhaustiveTooLargeError, InvalidGraphError, InvalidStructureError
+from monotrails.errors import (
+    ExhaustiveTooLargeError,
+    InvalidGraphError,
+    InvalidStructureError,
+    TooManyEdgesError,
+)
 from monotrails.graphs import Mode, WeightedGraph
 from monotrails.labeling import _fold
 
@@ -521,6 +526,12 @@ class TestSampled:
         report = min_over_weightings(complete_structure(6), mode=Sampled(count=20, seed=0))
         assert report.examined == 20
         assert report.minimum >= 5  # guaranteed trail length in K6
+
+    def test_sampled_guard(self):
+        sampled = Sampled(count=1, seed=0)
+        extremal.check_search(extremal.SAMPLED_MAX_EDGES, sampled, 1)
+        with pytest.raises(TooManyEdgesError, match="exceeds the sampled guard of 1000000"):
+            extremal.check_search(extremal.SAMPLED_MAX_EDGES + 1, sampled, 1)
 
 
 def test_exhaustive_search_leaves_no_cyclic_garbage():

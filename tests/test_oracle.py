@@ -62,6 +62,35 @@ def folded_prefix_count(g):
     return sum(cnt)
 
 
+def plain_trails(g, v, cap=100_000):
+    """The specification of enumerate_dec_trails_from: a plain recursive
+    search that tries the lighter edges at a trail's end in ascending
+    neighbour order and lists each trail it cannot extend.  Returns the
+    first cap of them and whether there were more."""
+    adj = [[] for _ in range(g.n)]
+    for (a, b), w in g.checked().edges.items():
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    maximal = []
+
+    def walk(u, last_w, trail):
+        steps = sorted((nbr, w) for nbr, w in adj[u] if last_w is None or w < last_w)
+        for nbr, w in steps:
+            walk(nbr, w, trail + [(u, nbr)])
+        if not steps and trail:
+            maximal.append(trail)
+
+    walk(v, None, [])
+    return maximal[:cap], len(maximal) > cap
+
+
+def falling_path(n):
+    """The path v1-v2-...-vn weighted n-1 down to 1: one decreasing trail
+    of n-1 steps from v1, longer than Python's default recursion limit."""
+    edges = {(i, i + 1): n - 1 - i for i in range(n - 1)}
+    return WeightedGraph(n=n, edges=edges, mode=Mode.STRICT)
+
+
 class TestEnumerateDecTrailsFrom:
     def test_four_trails_from_v3_in_pruned_k4(self, k4_sub5):
         result = enumerate_dec_trails_from(k4_sub5, 2)
@@ -139,6 +168,24 @@ class TestEnumerateDecTrailsFrom:
                 best = max(best, len(trail))
             assert best == per_vertex[v]
 
+    @settings(max_examples=100)
+    @given(
+        st.one_of(any_graphs(max_n=6), float_trap_graphs(max_n=6)),
+        st.sampled_from([1, 2, 3, None]),
+    )
+    def test_same_order_and_truncation_as_the_plain_search(self, g, cap):
+        for v in range(g.n):
+            if cap is None:
+                result = enumerate_dec_trails_from(g, v)
+            else:
+                result = enumerate_dec_trails_from(g, v, cap=cap)
+            assert (result.trails, result.truncated) == plain_trails(g, v, cap or 100_000)
+
+    def test_a_trail_longer_than_the_recursion_limit(self):
+        result = enumerate_dec_trails_from(falling_path(1200), 0)
+        assert not result.truncated
+        assert result.trails == [[(i, i + 1) for i in range(1199)]]
+
 
 class TestBruteForceLongest:
     def test_worked_example(self, k4):
@@ -186,8 +233,8 @@ class TestBruteForceLongest:
 
 
 class TestAgainstThePlainSearch:
-    """The row scan with its early stop and its dead-end count visits what
-    the plain search visits: same lengths, same number of trail prefixes."""
+    """The one pass over the arcs finds what the plain search visits: same
+    lengths, same number of trail prefixes."""
 
     @settings(max_examples=150)
     @given(st.one_of(any_graphs(max_n=7), float_trap_graphs(max_n=7)))
@@ -220,8 +267,8 @@ class TestAgainstThePlainSearch:
 
 
 class TestAgainstTheCountFold:
-    """The memoised search on graphs whose prefixes the plain search could
-    not walk: lengths from label propagation, the count from the fold."""
+    """The one pass on graphs whose prefixes the plain search could not
+    walk: lengths from label propagation, the count from the fold."""
 
     @settings(max_examples=150)
     @given(st.one_of(any_graphs(max_n=7), float_trap_graphs(max_n=7)))
@@ -241,10 +288,17 @@ class TestAgainstTheCountFold:
         assert result.nodes_explored == folded_prefix_count(g) == 883_953_718
         assert result.per_vertex == run_labeling_sorted(g).labels
 
+    def test_a_trail_longer_than_the_recursion_limit(self):
+        g = falling_path(1200)
+        result = brute_force_longest(g)
+        assert result.optimum == 1199
+        assert result.per_vertex == run_labeling_sorted(g).labels
+        assert result.nodes_explored == folded_prefix_count(g)
+
 
 def test_searches_leave_no_cyclic_garbage():
-    # The recursive searches refer to themselves through their closure
-    # cells; each empties its cell when done, so nothing waits for gc.
+    # Neither search keeps a closure or any other object that refers back
+    # to itself, so everything a call builds is freed without gc.
     k4 = complete_graph(4, [1, 3, 6, 5, 4, 2])
     gc.collect()
     gc.disable()

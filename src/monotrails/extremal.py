@@ -52,45 +52,52 @@ One task, edge (v1,v2) first, yields q!/n! orders in all, none filtered.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import ExhaustiveTooLargeError, InvalidStructureError, TooManyEdgesError
 from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import Order, TrailReport, _fold, longest_ordered_trail
 
 EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 is one task, about 0.1 s
-# A sampled search holds about 320 bytes per edge: one-sample K_1415 and K_2000
-# searches peaked at 332 and 645 MB under a 1 GiB RLIMIT_AS, so this guard
+# A sampled search holds about 280 bytes per edge: one-sample K_1414 and K_1549
+# searches peaked at 283 and 336 MB under a 1 GiB RLIMIT_AS, so this guard
 # keeps one near a third of 1 GiB.
-SAMPLED_MAX_EDGES = 10**6
+SAMPLED_MAX_EDGES = 12 * 10**5
 
 
-@dataclass(frozen=True)
-class Structure:
-    """Bare edge structure, no weights: canonical in-range pairs, strictly
-    ascending from construction, so n(n-1)/2 edges are K_n in lex order."""
-
+class _StructureFields(NamedTuple):
     n: int
     edges: tuple[EdgeKey, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidStructureError(f"vertex count must be >= 1, got {self.n}")
+
+class Structure(_StructureFields):
+    """Bare edge structure, no weights: canonical in-range pairs, strictly
+    ascending from construction, so n(n-1)/2 edges are K_n in lex order."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: tuple[EdgeKey, ...]) -> Structure:
+        if n < 1:
+            raise InvalidStructureError(f"vertex count must be >= 1, got {n}")
         last = (-1, -1)
-        for a, b in self.edges:
+        for a, b in edges:
             if a >= b:
                 raise InvalidStructureError(f"edge ({a + 1},{b + 1}) is not canonical (min,max)")
-            if not (0 <= a and b < self.n):
-                raise InvalidStructureError(f"edge ({a + 1},{b + 1}) out of range for n={self.n}")
+            if not (0 <= a and b < n):
+                raise InvalidStructureError(f"edge ({a + 1},{b + 1}) out of range for n={n}")
             if (a, b) <= last:
                 fault = "repeated" if (a, b) == last else "out of order: edges must ascend"
                 raise InvalidStructureError(f"edge ({a + 1},{b + 1}) {fault}")
             last = (a, b)
+        return super().__new__(cls, n, edges)
+
+    @classmethod
+    def _make(cls, iterable) -> Structure:  # _replace builds through here, so it checks too
+        return cls(*iterable)
 
     @property
     def q(self) -> int:
@@ -119,19 +126,17 @@ def structure_of(g: WeightedGraph) -> Structure:
     return Structure(n=g.n, edges=tuple(sorted(g.edges)))
 
 
-@dataclass(frozen=True)
-class Exhaustive:
-    pass
+class Exhaustive(NamedTuple):
+    def __bool__(self) -> bool:  # a mode, not an empty tuple
+        return True
 
 
-@dataclass(frozen=True)
-class Sampled:
+class Sampled(NamedTuple):
     count: int
     seed: int
 
 
-@dataclass
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     structure: Structure
     mode: Exhaustive | Sampled
     examined: int
@@ -313,18 +318,24 @@ def _reduce_task(n: int, endpoints):
 def _sampled_orders(q: int, mode: Sampled):
     """The sampled orders, drawn lazily: order i inverts the i-th
     Fisher-Yates shuffle of one seeded stream.  The draws are
-    random.shuffle's own, written out."""
+    random.shuffle's own, written out.  Step i, from q-1 down to 1, draws
+    k = (i+1).bit_length() bits, so the steps are one range of i per k."""
     getrandbits = random.Random(mode.seed).getrandbits
-    steps = [(i, (i + 1).bit_length()) for i in range(q - 1, 0, -1)]
+    runs = [
+        (range(min(q - 1, (1 << k) - 2), (1 << (k - 1)) - 2, -1), k)
+        for k in range(q.bit_length(), 1, -1)
+    ]
+    identity = list(range(q))  # copied per order: a slice is quicker than list(range(q))
     for _ in range(mode.count):
-        w = list(range(q))
+        w = identity[:]
         order = [0] * q  # position 0 needs no step: order[w[0]] keeps its 0
-        for i, k in steps:
-            r = getrandbits(k)
-            while r > i:
+        for steps, k in runs:
+            for i in steps:
                 r = getrandbits(k)
-            order[w[r]] = i  # the swap puts w[r] at i for good; w[i] is never read again
-            w[r] = w[i]
+                while r > i:
+                    r = getrandbits(k)
+                order[w[r]] = i  # the swap puts w[r] at i for good; w[i] is never read again
+                w[r] = w[i]
         yield order
 
 
@@ -404,6 +415,8 @@ def _run_tasks(tasks, jobs: int) -> tuple[int, tuple[int, ...]]:
     size = _pool_size(jobs, cpus or 1, len(tasks))
     if size == 1:
         return min(map(_search, tasks))
+    import multiprocessing  # only a pool needs it, and it is slow to import
+
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     with multiprocessing.get_context(method).Pool(processes=size) as pool:
         return min(pool.imap(_search, tasks))

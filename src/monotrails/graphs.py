@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
@@ -47,6 +46,7 @@ from functools import cached_property
 from itertools import combinations, compress, count, starmap
 from math import isqrt
 from operator import eq, lt
+from typing import NamedTuple
 
 from .errors import (
     DuplicateEdgeError,
@@ -76,9 +76,14 @@ class Mode(Enum):
     RELAXED = "relaxed"
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Immutable-by-convention weighted graph; mutate nothing after build.
+class _GraphFields(NamedTuple):
+    n: int
+    edges: dict[EdgeKey, Weight]
+    mode: Mode
+
+
+class WeightedGraph(_GraphFields):
+    """Weighted graph with read-only fields; never mutate its edge dict.
 
     The constructor performs no checking and takes the mode as given, so
     tests and file parsing can materialize invalid graphs.  parse_edge_list
@@ -86,12 +91,13 @@ class WeightedGraph:
     valid graphs; new_graph and add_edge check each edge only, so a strict
     graph they build may fail validate (not-surjective).  Weights that are
     exactly the ints 1..q are placed by rank once, any others sorted once,
-    and the order is kept.
+    and the order is kept.  A graph is an (n, edges, mode) tuple, so it
+    also has len() 3 and iterates over its fields; what it keeps lives in
+    its __dict__, which assignment cannot reach.
     """
 
-    n: int
-    edges: dict[EdgeKey, Weight]
-    mode: Mode
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def q(self) -> int:
@@ -135,8 +141,7 @@ def _placed(edges: dict[EdgeKey, Weight]) -> list[EdgeKey] | None:
     return None if None in order else order
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
 

@@ -37,16 +37,14 @@ undirected graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RankOutOfRangeError, StepExhaustedError
 from .graphs import EdgeKey, WeightedGraph, ranked_edges
 from .trails import Order, Trail, reverse_dual, trail_json
 
 
-@dataclass
-class LabelState:
+class LabelState(NamedTuple):
     """Labels and witness trails after processing the `step` lowest edges."""
 
     step: int
@@ -54,8 +52,7 @@ class LabelState:
     witnesses: list[Trail]
 
 
-@dataclass
-class TrailReport:
+class TrailReport(NamedTuple):
     kind: Order
     optimum: int
     start: int

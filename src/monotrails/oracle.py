@@ -32,7 +32,6 @@ explicit stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RankOutOfRangeError
@@ -45,8 +44,7 @@ class TrailEnumeration(NamedTuple):
     truncated: bool
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     per_vertex: list[int]
     optimum: int
     nodes_explored: int

@@ -1,9 +1,174 @@
-"""The package's public names."""
+"""The package's public names, its records, and what importing it loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import monotrails
+from monotrails import (
+    EnumerationResult,
+    Exhaustive,
+    ExtremalReport,
+    LabelState,
+    Mode,
+    Order,
+    Sampled,
+    Structure,
+    TrailReport,
+    Violation,
+    WeightedGraph,
+    parse_edge_list,
+    structure_of,
+)
+from monotrails.errors import InvalidStructureError
+from monotrails.extremal import _first_edge_tasks
+
+SRC = Path(monotrails.__file__).parents[1]
+# Modules no check, compute or oracle run uses: a pool's, and the record
+# machinery's (dataclasses imports inspect, which imports ast, dis and tokenize).
+UNUSED_AT_IMPORT = ("dataclasses", "inspect", "multiprocessing")
 
 
 def test_every_exported_name_resolves_once():
     names = monotrails.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(monotrails, name)] == []
+
+
+def python(*argv):
+    """A fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def imported(importtime_err: str) -> set[str]:
+    """The module names a `python -X importtime` run lists on stderr."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_err.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_importing_the_package_loads_no_pool_and_no_dataclasses(flags):
+    code = (
+        "import sys, monotrails, monotrails.cli; "
+        f"print(sorted(m for m in {UNUSED_AT_IMPORT!r} if m in sys.modules))"
+    )
+    run = python(*flags, "-c", code)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+def test_a_pooled_search_imports_multiprocessing_and_prints_the_serial_report(tmp_path):
+    graph = tmp_path / "r6.txt"
+    assert python("-m", "monotrails", "gen", "--random", "6", "9", "--seed", "1",
+                  "--out", str(graph)).returncode == 0
+    structure = structure_of(parse_edge_list(graph.read_text()))
+    assert len(_first_edge_tasks(structure.n, structure.edges)) == 8  # every vertex has an edge
+
+    def extremal(jobs):
+        return python("-X", "importtime", "-m", "monotrails", "extremal", "--file", str(graph),
+                      "--exhaustive", "--json", "--jobs", jobs)
+
+    serial, pooled = extremal("1"), extremal("2")
+    assert (serial.returncode, pooled.returncode) == (0, 0), pooled.stderr
+    assert pooled.stdout == serial.stdout
+    assert "multiprocessing" not in imported(serial.stderr)
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: --jobs 2 searches in the calling process")
+    assert "multiprocessing" in imported(pooled.stderr)
+
+
+STRUCTURE = Structure(n=3, edges=((0, 1), (1, 2)))
+RECORDS = [
+    (
+        WeightedGraph(n=2, edges={(0, 1): 1}, mode=Mode.STRICT),
+        WeightedGraph(2, {(0, 1): 1}, Mode.STRICT),
+        "WeightedGraph(n=2, edges={(0, 1): 1}, mode=<Mode.STRICT: 'strict'>)",
+    ),
+    (
+        Violation(kind="self-loop", detail="edge at vertex 1"),
+        Violation("self-loop", "edge at vertex 1"),
+        "Violation(kind='self-loop', detail='edge at vertex 1')",
+    ),
+    (
+        LabelState(step=1, labels=[1, 1], witnesses=[[(0, 1)], [(1, 0)]]),
+        LabelState(1, [1, 1], [[(0, 1)], [(1, 0)]]),
+        "LabelState(step=1, labels=[1, 1], witnesses=[[(0, 1)], [(1, 0)]])",
+    ),
+    (
+        TrailReport(kind=Order.DECREASING, optimum=1, start=0, witness=[(0, 1)], labels=[1, 1],
+                    bound_two_floor_q_over_n=0, bound_floor_two_q_over_n=1),
+        TrailReport(Order.DECREASING, 1, 0, [(0, 1)], [1, 1], 0, 1),
+        "TrailReport(kind=<Order.DECREASING: 'dec'>, optimum=1, start=0, witness=[(0, 1)], "
+        "labels=[1, 1], bound_two_floor_q_over_n=0, bound_floor_two_q_over_n=1)",
+    ),
+    (
+        EnumerationResult(per_vertex=[1, 1], optimum=1, nodes_explored=4),
+        EnumerationResult([1, 1], 1, 4),
+        "EnumerationResult(per_vertex=[1, 1], optimum=1, nodes_explored=4)",
+    ),
+    (STRUCTURE, Structure(3, ((0, 1), (1, 2))), "Structure(n=3, edges=((0, 1), (1, 2)))"),
+    (Exhaustive(), Exhaustive(), "Exhaustive()"),
+    (Sampled(count=500, seed=3), Sampled(500, 3), "Sampled(count=500, seed=3)"),
+    (
+        ExtremalReport(structure=STRUCTURE, mode=Exhaustive(), examined=2, minimum=2,
+                       witness=(1, 2), reduction_factor=1, elapsed_s=0.0),
+        ExtremalReport(STRUCTURE, Exhaustive(), 2, 2, (1, 2), 1, 0.0),
+        "ExtremalReport(structure=Structure(n=3, edges=((0, 1), (1, 2))), mode=Exhaustive(), "
+        "examined=2, minimum=2, witness=(1, 2), reduction_factor=1, elapsed_s=0.0)",
+    ),
+]
+
+
+@pytest.mark.parametrize("by_keyword, by_position, text", RECORDS,
+                         ids=[text.partition("(")[0] for _, _, text in RECORDS])
+class TestRecords:
+    """Every record builds by keyword or position, compares by value, reads
+    back as its constructor call, and refuses assignment."""
+
+    def test_keyword_and_positional_construction_are_equal(self, by_keyword, by_position, text):
+        assert by_keyword == by_position
+        assert type(by_keyword) is type(by_position)
+
+    def test_repr_is_the_keyword_call(self, by_keyword, by_position, text):
+        assert repr(by_keyword) == text
+
+    def test_assignment_is_refused(self, by_keyword, by_position, text):
+        for name in type(by_keyword)._fields:
+            with pytest.raises(AttributeError):
+                setattr(by_keyword, name, None)
+        with pytest.raises(AttributeError):
+            by_keyword.not_a_field = None
+        assert by_keyword == by_position
+
+    def test_every_record_is_truthy(self, by_keyword, by_position, text):
+        assert by_keyword  # Exhaustive() too, though it has no fields
+
+
+def test_a_graph_keeps_its_orders_in_its_dict():
+    g = parse_edge_list("p 3 2\ne 1 2 2\ne 2 3 1\n")
+    assert g.__dict__ == {"_rank_order": [(1, 2), (0, 1)], "violations": ()}
+    assert g._ascending is g._rank_order
+
+
+class TestStructureChecksEveryConstruction:
+    @pytest.mark.parametrize("n, edges", [
+        (0, ()), (3, ((1, 0),)), (3, ((0, 3),)), (3, ((1, 2), (0, 1))), (3, ((0, 1), (0, 1))),
+    ])
+    def test_keyword_positional_and_replace_all_refuse(self, n, edges):
+        with pytest.raises(InvalidStructureError):
+            Structure(n=n, edges=edges)
+        with pytest.raises(InvalidStructureError):
+            Structure(n, edges)
+        with pytest.raises(InvalidStructureError):
+            STRUCTURE._replace(n=n, edges=edges)
+
+    def test_replace_builds_a_checked_structure(self):
+        assert STRUCTURE._replace(edges=((0, 2),)) == Structure(n=3, edges=((0, 2),))

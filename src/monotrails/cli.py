@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import MonotrailsError
@@ -59,24 +58,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("compute", help="longest ordered trail of a graph file")
-    p.add_argument("file", type=Path)
+    p.add_argument("file")
     p.add_argument("--order", choices=["dec", "inc"], default="dec")
     p.add_argument("--trail", action="store_true", help="print the witness trail")
     p.add_argument("--labels", action="store_true", help="print the final labels")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("oracle", help="brute-force optimum and agreement with the algorithm")
-    p.add_argument("file", type=Path)
+    p.add_argument("file")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="lower-bound checks plus oracle agreement")
-    p.add_argument("file", type=Path)
+    p.add_argument("file")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("extremal", help="minimum over weightings of a structure")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--complete", type=int, metavar="N", help="complete graph on N vertices")
-    grp.add_argument("--file", type=Path, help="take the edge structure from a graph file")
+    grp.add_argument("--file", help="take the edge structure from a graph file")
     how = p.add_mutually_exclusive_group(required=True)
     how.add_argument("--exhaustive", action="store_true")
     how.add_argument("--sample", type=int, metavar="K", help="evaluate K seeded random weightings")
@@ -96,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--complete", type=int, metavar="N")
     grp.add_argument("--random", type=int, nargs=2, metavar=("N", "M"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=None, help="output path (default: stdout)")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     return parser
 
@@ -114,12 +113,18 @@ def _labels_text(labels: list[int]) -> str:
     return " ".join(f"v{i + 1}={x}" for i, x in enumerate(labels))
 
 
+def _read(path: str) -> str:
+    """The text of the file at path; an OSError names the path as given."""
+    with open(path) as f:
+        return f.read()
+
+
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
 def _cmd_compute(args) -> int:
-    g = parse_edge_list(args.file.read_text())
+    g = parse_edge_list(_read(args.file))
     kind = Order.DECREASING if args.order == "dec" else Order.INCREASING
     report = longest_ordered_trail(g, kind)
     ok = report.holds_a and report.holds_b
@@ -149,7 +154,7 @@ def _oracle_agreement(g: WeightedGraph, optimum: int, labels: list[int]):
 
 
 def _cmd_oracle(args) -> int:
-    g = parse_edge_list(args.file.read_text())
+    g = parse_edge_list(_read(args.file))
     if g.n > ORACLE_MAX_N:
         print(f"error: oracle needs n <= {ORACLE_MAX_N}, got n={g.n}", file=sys.stderr)
         return 2
@@ -176,7 +181,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = parse_edge_list(args.file.read_text())
+    g = parse_edge_list(_read(args.file))
     bc = check_lower_bound(g)
     oracle_json = None
     oracle_ok = True
@@ -233,7 +238,7 @@ def _cmd_extremal(args) -> int:
         check_search(complete_edge_count(args.complete), mode, args.jobs)
         structure = complete_structure(args.complete)
     else:
-        structure = structure_of(parse_edge_list(args.file.read_text()))
+        structure = structure_of(parse_edge_list(_read(args.file)))
     report = min_over_weightings(structure, mode=mode, reduce_symmetry=args.reduce, jobs=args.jobs)
     if args.json:
         _emit_json(extremal_report_json(report, include_timing=args.timing))
@@ -262,7 +267,8 @@ def _cmd_gen(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        args.out.write_text(text)
+        with open(args.out, "w") as f:
+            f.write(text)
     return 0
 
 

@@ -1,56 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A subclass exists only where a caller reads data from the exception or the
+README names it as a call's contract.  Every other refusal (a vertex or
+edge count out of range, a weight list that is not a permutation, a search
+above its guard) raises MonotrailsError itself, and its message says which.
+"""
 
 
 class MonotrailsError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class InvalidVertexCountError(MonotrailsError):
-    """Graph construction with a vertex count below 1."""
-
-
-class VertexOutOfRangeError(MonotrailsError):
-    """An endpoint index is not a vertex of the graph."""
-
-
-class SelfLoopError(MonotrailsError):
-    """Both endpoints of an edge are the same vertex."""
-
-
-class DuplicateEdgeError(MonotrailsError):
-    """The undirected edge is already present."""
-
-
-class DuplicateWeightError(MonotrailsError):
-    """The weight is already assigned to another edge."""
-
-
-class NonPositiveWeightError(MonotrailsError):
-    """Edge weights must be strictly positive (0 means 'absent')."""
+    """Base class for all package-specific errors, and the error of every
+    refusal that has no subclass of its own."""
 
 
 class RankOutOfRangeError(MonotrailsError):
     """An edge rank, step index or vertex outside its range."""
-
-
-class WrongPermutationLengthError(MonotrailsError):
-    """A weight permutation of the wrong length for the edge count."""
-
-
-class NotAPermutationError(MonotrailsError):
-    """The given weights are not a permutation of 1..q."""
-
-
-class InvalidEdgeCountError(MonotrailsError):
-    """Requested edge count below 0."""
-
-
-class TooManyEdgesError(MonotrailsError):
-    """Requested edge count exceeds n*(n-1)/2."""
-
-
-class StepExhaustedError(MonotrailsError):
-    """propagate_step called on a state that already processed all edges."""
 
 
 class InvalidGraphError(MonotrailsError):
@@ -62,10 +25,6 @@ class InvalidGraphError(MonotrailsError):
         self.violations = list(violations)
         detail = "; ".join(f"{v.kind}: {v.detail}" for v in self.violations)
         super().__init__(f"{self.prefix}: {detail}")
-
-
-class ExhaustiveTooLargeError(MonotrailsError):
-    """Exhaustive weighting search requested beyond q <= EXHAUSTIVE_MAX_EDGES."""
 
 
 class InvalidStructureError(MonotrailsError):

@@ -58,7 +58,7 @@ import time
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import ExhaustiveTooLargeError, InvalidStructureError, TooManyEdgesError
+from .errors import InvalidStructureError, MonotrailsError
 from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import Order, TrailReport, _fold, longest_ordered_trail
 
@@ -113,7 +113,7 @@ def complete_edge_count(n: int) -> int:
         raise InvalidStructureError(f"vertex count must be >= 1, got {n}")
     q = n * (n - 1) // 2
     if q > MAX_EDGES:
-        raise TooManyEdgesError(f"K_{n} has {q} edges, above the limit of {MAX_EDGES}")
+        raise MonotrailsError(f"K_{n} has {q} edges, above the limit of {MAX_EDGES}")
     return q
 
 
@@ -346,11 +346,11 @@ def check_search(q: int, mode: Exhaustive | Sampled, jobs: int) -> None:
     if isinstance(mode, Sampled) and mode.count < 1:
         raise ValueError(f"sample count must be >= 1, got {mode.count}")
     if isinstance(mode, Exhaustive) and q > EXHAUSTIVE_MAX_EDGES:
-        raise ExhaustiveTooLargeError(
+        raise MonotrailsError(
             f"q={q} exceeds the exhaustive guard of {EXHAUSTIVE_MAX_EDGES}; use Sampled mode"
         )
     if isinstance(mode, Sampled) and q > SAMPLED_MAX_EDGES:
-        raise TooManyEdgesError(f"q={q} exceeds the sampled guard of {SAMPLED_MAX_EDGES}")
+        raise MonotrailsError(f"q={q} exceeds the sampled guard of {SAMPLED_MAX_EDGES}")
 
 
 def min_over_weightings(

@@ -49,20 +49,11 @@ from operator import eq, lt
 from typing import NamedTuple
 
 from .errors import (
-    DuplicateEdgeError,
-    DuplicateWeightError,
     EdgeListParseError,
     GraphValidationError,
-    InvalidEdgeCountError,
     InvalidGraphError,
-    InvalidVertexCountError,
-    NonPositiveWeightError,
-    NotAPermutationError,
+    MonotrailsError,
     RankOutOfRangeError,
-    SelfLoopError,
-    TooManyEdgesError,
-    VertexOutOfRangeError,
-    WrongPermutationLengthError,
 )
 
 EdgeKey = tuple[int, int]
@@ -88,8 +79,9 @@ class WeightedGraph(_GraphFields):
     The constructor performs no checking and takes the mode as given, so
     tests and file parsing can materialize invalid graphs.  parse_edge_list
     (mode read from the weights), complete_graph and random_graph build
-    valid graphs; new_graph and add_edge check each edge only, so a strict
-    graph they build may fail validate (not-surjective).  Weights that are
+    valid graphs; add_edge refuses an edge unless the graph it gives, read
+    as relaxed, passes validate, so a strict graph built by new_graph and
+    add_edge can fail validate only as not-surjective.  Weights that are
     exactly the ints 1..q are placed by rank once, any others sorted once,
     and the order is kept.  A graph is an (n, edges, mode) tuple, so it
     also has len() 3 and iterates over its fields; what it keeps lives in
@@ -149,28 +141,28 @@ class Violation(NamedTuple):
 def new_graph(n: int, mode: Mode = Mode.STRICT) -> WeightedGraph:
     """Empty graph on n >= 1 vertices."""
     if n < 1:
-        raise InvalidVertexCountError(f"vertex count must be >= 1, got {n}")
+        raise MonotrailsError(f"vertex count must be >= 1, got {n}")
     return WeightedGraph(n=n, edges={}, mode=mode)
 
 
 def add_edge(g: WeightedGraph, u: int, v: int, w: Weight) -> WeightedGraph:
-    """Return a new graph with the undirected edge {u, v} of weight w added."""
-    for x in (u, v):
-        if not 0 <= x < g.n:
-            raise VertexOutOfRangeError(
-                f"vertex index {x} out of range for n={g.n}"
-            )
-    if u == v:
-        raise SelfLoopError(f"self-loop at vertex {u + 1}")
+    """Return a new graph with the undirected edge {u, v} of weight w added.
+
+    A key already present is refused with the duplicate-edge violation the
+    parser reports; the new graph is then checked by validate, read as
+    relaxed, so every other fault (an endpoint out of range, a self-loop, a
+    weight that is not positive or already used) raises InvalidGraphError
+    with validate's violations.
+    """
     key = (u, v) if u < v else (v, u)
     if key in g.edges:
-        raise DuplicateEdgeError(f"edge v{key[0] + 1}-v{key[1] + 1} already present")
-    if w <= 0:
-        raise NonPositiveWeightError(f"weight must be > 0, got {w}")
-    if w in g.edges.values():
-        raise DuplicateWeightError(f"weight {w} already used")
+        detail = f"edge v{key[0] + 1}-v{key[1] + 1} repeated"
+        raise InvalidGraphError([Violation("duplicate-edge", detail)])
     edges = dict(g.edges)
     edges[key] = w
+    violations = WeightedGraph(n=g.n, edges=edges, mode=Mode.RELAXED).violations
+    if violations:
+        raise InvalidGraphError(violations)
     return WeightedGraph(n=g.n, edges=edges, mode=g.mode)
 
 
@@ -268,15 +260,15 @@ def complete_graph(n: int, weights: list[int]) -> WeightedGraph:
     (0,1), (0,2), ..., (0,n-1), (1,2), ...
     """
     if n < 1:
-        raise InvalidVertexCountError(f"vertex count must be >= 1, got {n}")
+        raise MonotrailsError(f"vertex count must be >= 1, got {n}")
     keys = list(combinations(range(n), 2))
     if len(weights) != len(keys):
-        raise WrongPermutationLengthError(
+        raise MonotrailsError(
             f"K_{n} has {len(keys)} edges, got {len(weights)} weights"
         )
     g = WeightedGraph(n=n, edges=dict(zip(keys, weights)), mode=Mode.STRICT)
     if g._rank_order is None:
-        raise NotAPermutationError(f"weights are not a permutation of 1..{len(keys)}")
+        raise MonotrailsError(f"weights are not a permutation of 1..{len(keys)}")
     return g
 
 
@@ -285,18 +277,18 @@ def random_graph(n: int, m: int, seed: int) -> WeightedGraph:
     permutation of 1..m; identical (n, m, seed) always yields the identical
     graph (Mersenne Twister via random.Random, platform-independent)."""
     if n < 1:
-        raise InvalidVertexCountError(f"vertex count must be >= 1, got {n}")
+        raise MonotrailsError(f"vertex count must be >= 1, got {n}")
     if n > MAX_VERTICES:
-        raise InvalidVertexCountError(
+        raise MonotrailsError(
             f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
         )
     if m < 0:
-        raise InvalidEdgeCountError(f"edge count must be >= 0, got {m}")
+        raise MonotrailsError(f"edge count must be >= 0, got {m}")
     total = n * (n - 1) // 2
     if m > total:
-        raise TooManyEdgesError(f"{m} edges requested, K_{n} has only {total}")
+        raise MonotrailsError(f"{m} edges requested, K_{n} has only {total}")
     if m > MAX_EDGES:
-        raise TooManyEdgesError(f"{m} edges requested, above the limit of {MAX_EDGES}")
+        raise MonotrailsError(f"{m} edges requested, above the limit of {MAX_EDGES}")
     rng = random.Random(seed)
     # sample() reads only the population's length and items, so sampling
     # pair indices draws what sampling the pair list itself would.

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import RankOutOfRangeError, StepExhaustedError
+from .errors import RankOutOfRangeError
 from .graphs import EdgeKey, WeightedGraph, ranked_edges
 from .trails import Order, Trail, reverse_dual, trail_json
 
@@ -91,7 +91,7 @@ def find_edge_by_rank(g: WeightedGraph, rank: int) -> EdgeKey:
 def propagate_step(state: LabelState, g: WeightedGraph) -> LabelState:
     """Process the next edge in rank order; returns a new state."""
     if state.step >= g.q:
-        raise StepExhaustedError(f"all {g.q} edges already processed")
+        raise RankOutOfRangeError(f"all {g.q} edges already processed")
     u, v = find_edge_by_rank(g, state.step + 1)
     labels = list(state.labels)
     witnesses = list(state.witnesses)

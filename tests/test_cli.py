@@ -590,6 +590,13 @@ class TestGen:
             "error: 4999950000 edges requested, above the limit of 10000000\n"
         )
 
+    def test_random_edge_count_above_the_limit_exits_2(self):
+        # K_4473 has 10,001,628 pairs, so only the edge limit refuses this;
+        # drawing the edges would take most of 1 GiB.
+        run = run_limited("gen", "--random", "4473", "10000001")
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == "error: 10000001 edges requested, above the limit of 10000000\n"
+
     def test_out_path_that_is_a_directory_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "gen", "--complete", "3", "--out", str(tmp_path))
         assert (code, out) == (2, "")

@@ -31,12 +31,7 @@ from monotrails import (
     structure_of,
 )
 from monotrails import extremal
-from monotrails.errors import (
-    ExhaustiveTooLargeError,
-    InvalidGraphError,
-    InvalidStructureError,
-    TooManyEdgesError,
-)
+from monotrails.errors import InvalidGraphError, InvalidStructureError, MonotrailsError
 from monotrails.graphs import Mode, WeightedGraph
 from monotrails.labeling import _fold
 
@@ -147,7 +142,8 @@ class TestMinOverWeightingsExhaustive:
         assert min_over_weightings(s).minimum == 1
 
     def test_exhaustive_guard(self):
-        with pytest.raises(ExhaustiveTooLargeError):
+        message = r"^q=15 exceeds the exhaustive guard of 10; use Sampled mode$"
+        with pytest.raises(MonotrailsError, match=message):
             min_over_weightings(complete_structure(6))
 
     def test_jobs_below_one_are_rejected(self):
@@ -529,7 +525,7 @@ class TestSampled:
     def test_sampled_guard(self):
         sampled = Sampled(count=1, seed=0)
         extremal.check_search(extremal.SAMPLED_MAX_EDGES, sampled, 1)
-        with pytest.raises(TooManyEdgesError, match="exceeds the sampled guard of 1200000"):
+        with pytest.raises(MonotrailsError, match="exceeds the sampled guard of 1200000"):
             extremal.check_search(extremal.SAMPLED_MAX_EDGES + 1, sampled, 1)
 
 

@@ -29,20 +29,11 @@ from monotrails import (
     weighted_subgraph,
 )
 from monotrails.errors import (
-    DuplicateEdgeError,
-    DuplicateWeightError,
     EdgeListParseError,
     GraphValidationError,
-    InvalidEdgeCountError,
     InvalidGraphError,
-    InvalidVertexCountError,
-    NonPositiveWeightError,
-    NotAPermutationError,
+    MonotrailsError,
     RankOutOfRangeError,
-    SelfLoopError,
-    TooManyEdgesError,
-    VertexOutOfRangeError,
-    WrongPermutationLengthError,
 )
 
 from monotrails import graphs
@@ -57,7 +48,7 @@ class TestConstruction:
         assert g.n == 4 and g.q == 0 and g.mode is Mode.STRICT
 
     def test_new_graph_rejects_zero_vertices(self):
-        with pytest.raises(InvalidVertexCountError):
+        with pytest.raises(MonotrailsError, match=r"^vertex count must be >= 1, got 0$"):
             new_graph(0)
 
     def test_single_vertex_graph_is_valid(self):
@@ -73,29 +64,54 @@ class TestConstruction:
         g1 = add_edge(g0, 0, 1, 1)
         assert g0.q == 0 and g1.q == 1
 
+    @staticmethod
+    def refused(g, u, v, w):
+        """The violation kinds add_edge refuses the edge with."""
+        with pytest.raises(InvalidGraphError) as exc:
+            add_edge(g, u, v, w)
+        return [violation.kind for violation in exc.value.violations]
+
     def test_duplicate_edge_rejected_in_either_orientation(self):
         g = add_edge(new_graph(4), 0, 1, 1)
-        with pytest.raises(DuplicateEdgeError):
-            add_edge(g, 1, 0, 2)
+        for u, v in ((0, 1), (1, 0)):
+            assert self.refused(g, u, v, 2) == ["duplicate-edge"]
+
+    def test_duplicate_edge_is_worded_as_the_parser_words_it(self):
+        g = add_edge(new_graph(4), 1, 3, 1)
+        message = r"^invalid graph: duplicate-edge: edge v2-v4 repeated$"
+        with pytest.raises(InvalidGraphError, match=message):
+            add_edge(g, 3, 1, 2)
+        with pytest.raises(GraphValidationError, match=r"duplicate-edge: edge v2-v4 repeated$"):
+            parse_edge_list("p 4 2\ne 2 4 1\ne 4 2 2\n")
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoopError):
-            add_edge(new_graph(4), 2, 2, 7)
+        assert self.refused(new_graph(4), 2, 2, 7) == ["self-loop"]
 
     def test_duplicate_weight_rejected(self):
         g = add_edge(new_graph(4), 0, 1, 3)
-        with pytest.raises(DuplicateWeightError):
-            add_edge(g, 1, 2, 3)
+        assert self.refused(g, 1, 2, 3) == ["duplicate-weight"]
 
     def test_non_positive_weight_rejected(self):
-        with pytest.raises(NonPositiveWeightError):
-            add_edge(new_graph(3), 0, 1, 0)
-        with pytest.raises(NonPositiveWeightError):
-            add_edge(new_graph(3), 0, 1, Fraction(-1, 2))
+        assert self.refused(new_graph(3), 0, 1, 0) == ["non-positive-weight"]
+        assert self.refused(new_graph(3), 0, 1, Fraction(-1, 2)) == ["non-positive-weight"]
 
     def test_out_of_range_endpoint_rejected(self):
-        with pytest.raises(VertexOutOfRangeError):
-            add_edge(new_graph(3), 0, 3, 1)
+        assert self.refused(new_graph(3), 0, 3, 1) == ["vertex-out-of-range"]
+        assert self.refused(new_graph(3), -1, 0, 1) == ["vertex-out-of-range"]
+
+    def test_a_refused_edge_leaves_the_graph_as_it_was(self):
+        g = add_edge(new_graph(3), 0, 1, 1)
+        self.refused(g, 1, 2, 1)
+        assert g.edges == {(0, 1): 1} and g.violations == ()
+
+    def test_a_strict_graph_may_be_built_with_weights_not_yet_one_to_q(self):
+        # Read as relaxed, weight 3 before 1 and 2 is no fault; validate
+        # then says only not-surjective.
+        g = add_edge(new_graph(3), 0, 1, 3)
+        assert g.mode is Mode.STRICT
+        assert [v.kind for v in g.violations] == ["not-surjective"]
+        g = add_edge(add_edge(g, 1, 2, 1), 0, 2, 2)
+        assert g.violations == ()
 
 
 class TestValidate:
@@ -285,7 +301,7 @@ class TestCompleteGraph:
         assert g.edges == {(0, 1): 1}
 
     def test_wrong_length(self):
-        with pytest.raises(WrongPermutationLengthError):
+        with pytest.raises(MonotrailsError, match=r"^K_3 has 3 edges, got 2 weights$"):
             complete_graph(3, [1, 2])
 
     def test_not_a_permutation(self):
@@ -293,7 +309,7 @@ class TestCompleteGraph:
         cases = [(3, [1, 2, 2]), (3, [1, 2, None]), (3, [True, 2, 3.0]), (2, [Fraction(1)])]
         for n, weights in cases:
             message = rf"^weights are not a permutation of 1\.\.{len(weights)}$"
-            with pytest.raises(NotAPermutationError, match=message):
+            with pytest.raises(MonotrailsError, match=message):
                 complete_graph(n, weights)
 
     def test_every_permutation_builds_a_valid_k4(self):
@@ -301,7 +317,7 @@ class TestCompleteGraph:
             assert complete_graph(4, list(weights)).violations == ()
 
     def test_rejects_zero_vertices(self):
-        with pytest.raises(InvalidVertexCountError):
+        with pytest.raises(MonotrailsError, match=r"^vertex count must be >= 1, got 0$"):
             complete_graph(0, [])
 
     @given(st.integers(1, 7), st.randoms(use_true_random=False))
@@ -334,15 +350,26 @@ class TestRandomGraph:
         assert random_graph(3, 0, 1).edges == {}
 
     def test_too_many_edges(self):
-        with pytest.raises(TooManyEdgesError):
+        with pytest.raises(MonotrailsError, match=r"^4 edges requested, K_3 has only 3$"):
             random_graph(3, 4, 0)
 
+    def test_rejects_more_than_max_edges_before_drawing(self, monkeypatch):
+        # K_4473 has 10,001,628 pairs, so only MAX_EDGES refuses 10**7 + 1.
+        def no_draw(*args):
+            raise AssertionError("random_graph drew before refusing")
+
+        monkeypatch.setattr(graphs.random, "Random", no_draw)
+        with pytest.raises(
+            MonotrailsError, match=r"^10000001 edges requested, above the limit of 10000000$"
+        ):
+            random_graph(4473, graphs.MAX_EDGES + 1, 0)
+
     def test_rejects_zero_vertices(self):
-        with pytest.raises(InvalidVertexCountError):
+        with pytest.raises(MonotrailsError, match=r"^vertex count must be >= 1, got 0$"):
             random_graph(0, 0, 0)
 
     def test_rejects_a_negative_edge_count(self):
-        with pytest.raises(InvalidEdgeCountError, match=r"^edge count must be >= 0, got -1$"):
+        with pytest.raises(MonotrailsError, match=r"^edge count must be >= 0, got -1$"):
             random_graph(5, -1, 0)
 
     def test_different_seeds_usually_differ(self):

@@ -27,7 +27,6 @@ from monotrails import (
 from monotrails.errors import (
     InvalidGraphError,
     RankOutOfRangeError,
-    StepExhaustedError,
 )
 from monotrails import labeling
 from monotrails.labeling import _fold, _unroll, final_label_lengths, trail_report_json
@@ -138,7 +137,7 @@ class TestPropagateStep:
 
     def test_step_exhausted(self, k4):
         state = label_state_at(k4, 6)
-        with pytest.raises(StepExhaustedError):
+        with pytest.raises(RankOutOfRangeError, match=r"^all 6 edges already processed$"):
             propagate_step(state, k4)
 
     @given(strict_graphs(min_m=1))

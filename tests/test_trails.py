@@ -15,6 +15,7 @@ from monotrails import (
     reverse_dual,
     trail_json,
 )
+from monotrails.trails import trail_weights
 
 from strategies import graph_and_arbitrary_steps, graph_and_decreasing_trail
 
@@ -109,6 +110,18 @@ class TestDropPrefix:
         inc = reverse_dual(trail)
         for k in range(len(inc) + 1):
             assert is_ordered_trail(g, drop_prefix(inc, k), Order.INCREASING)
+
+
+class TestTrailWeights:
+    def test_weights_in_trail_order_either_direction(self):
+        g = WeightedGraph(n=3, edges={(0, 1): 1, (1, 2): 2}, mode=Mode.STRICT)
+        assert trail_weights(g, [(2, 1), (1, 0)]) == [2, 1]
+        assert trail_weights(g, [(0, 1), (1, 2)]) == [1, 2]
+
+    def test_a_step_that_is_not_an_edge_raises_key_error(self):
+        g = WeightedGraph(n=3, edges={(0, 1): 1, (1, 2): 2}, mode=Mode.STRICT)
+        with pytest.raises(KeyError, match=r"step \(2, 0\) is not an edge of the graph"):
+            trail_weights(g, [(2, 1), (2, 0)])
 
 
 class TestTrailJson:

@@ -11,21 +11,15 @@ The core pieces:
 - oracle: brute-force enumeration used as ground truth in tests.
 - extremal: minimum guaranteed trail length over all weightings of a
   structure, exhaustive or sampled, with optional symmetry reduction.
+
+Importing the package runs no extremal module body: the seven extremal
+names in _EXTREMAL resolve on first access, through the module __getattr__
+below (PEP 562), which is when monotrails.extremal is first imported.
 """
 
 __version__ = "0.1.0"
 
 from .errors import MonotrailsError
-from .extremal import (
-    Exhaustive,
-    ExtremalReport,
-    Sampled,
-    Structure,
-    check_lower_bound,
-    complete_structure,
-    min_over_weightings,
-    structure_of,
-)
 from .graphs import (
     Mode,
     Violation,
@@ -43,6 +37,7 @@ from .graphs import (
 from .labeling import (
     LabelState,
     TrailReport,
+    check_lower_bound,
     find_edge_by_rank,
     get_label,
     initial_state,
@@ -61,6 +56,21 @@ from .trails import (
     reverse_dual,
     trail_json,
 )
+
+_EXTREMAL = ("Exhaustive", "ExtremalReport", "Sampled", "Structure", "complete_structure",
+             "min_over_weightings", "structure_of")
+
+
+def __getattr__(name: str):
+    """An extremal name, imported from monotrails.extremal on first access
+    and kept in the package's namespace."""
+    if name not in _EXTREMAL:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import extremal
+
+    value = globals()[name] = getattr(extremal, name)
+    return value
+
 
 __all__ = [
     "EnumerationResult",

@@ -16,19 +16,8 @@ import sys
 
 from . import __version__
 from .errors import MonotrailsError
-from .extremal import (
-    Exhaustive,
-    Sampled,
-    check_lower_bound,
-    check_search,
-    complete_edge_count,
-    complete_structure,
-    extremal_report_json,
-    min_over_weightings,
-    structure_of,
-)
 from .graphs import WeightedGraph, _rational, parse_edge_list, random_graph, render_edge_list
-from .labeling import Order, longest_ordered_trail, trail_report_json
+from .labeling import Order, check_lower_bound, longest_ordered_trail, trail_report_json
 from .oracle import brute_force_longest
 from .trails import Trail, trail_weights
 
@@ -233,6 +222,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from .extremal import (  # only a search loads the engine
+        Exhaustive,
+        Sampled,
+        check_search,
+        complete_edge_count,
+        complete_structure,
+        extremal_report_json,
+        min_over_weightings,
+        structure_of,
+    )
+
     mode = Exhaustive() if args.exhaustive else Sampled(count=args.sample, seed=args.seed)
     if args.complete is not None:
         check_search(complete_edge_count(args.complete), mode, args.jobs)

@@ -47,6 +47,10 @@ remaining vertices by their weight to v1:
 The canonical orders are exactly those that respect one unlock table: hub
 (v1,x) unlocks (v1,x+1), and (v1,v3) also unlocks every rival (v2,x).
 One task, edge (v1,v2) first, yields q!/n! orders in all, none filtered.
+
+check_lower_bound is labeling's, re-exported here for callers that import
+it from this module; the package and cli take it from labeling, so only a
+search loads this module.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from typing import NamedTuple
 
 from .errors import InvalidStructureError, MonotrailsError
 from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
-from .labeling import Order, TrailReport, _fold, longest_ordered_trail
+from .labeling import _fold, check_lower_bound  # check_lower_bound: re-exported, see above
 
 EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 is one task, about 0.1 s
 # A sampled search holds about 280 bytes per edge: one-sample K_1414 and K_1549
@@ -420,19 +424,6 @@ def _run_tasks(tasks, jobs: int) -> tuple[int, tuple[int, ...]]:
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     with multiprocessing.get_context(method).Pool(processes=size) as pool:
         return min(pool.imap(_search, tasks))
-
-
-def check_lower_bound(g: WeightedGraph) -> TrailReport:
-    """Longest-trail length against both floor-form guarantees, as
-    longest_ordered_trail reports them.
-
-    bound a = 2*floor(q/n); bound b = floor(2q/n), never smaller than a.
-    Both must hold on every valid graph: the label sum grows by at least 2
-    per processed edge, so the final sum is >= 2q and some vertex carries a
-    label of at least floor(2q/n).  A failure signals an implementation bug
-    and is reported, not raised.  An invalid graph raises InvalidGraphError.
-    """
-    return longest_ordered_trail(g, Order.DECREASING)
 
 
 def extremal_report_json(report: ExtremalReport, include_timing: bool = False) -> dict:

@@ -18,7 +18,8 @@ labeling.find_edge_by_rank all read that one order.
 Weights are exact: an integral one is an int, any other the Decimal of its
 token (m*10^e, compared in C, never put through arithmetic, printed in its
 Fraction form "15432/125"), read by one rule on every Python: see
-_parse_weight.
+_parse_weight.  decimal and fractions are imported by _load_exact, the first
+time a weight that is not an int is read, ranked, checked or printed.
 
 The edge-list parser is one line loop, the only code that reads the
 comments and the header, names a bad line or lists parse-time violations.
@@ -39,14 +40,12 @@ from __future__ import annotations
 
 import random
 import re
-from decimal import Decimal, InvalidOperation
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, count, starmap
 from math import isqrt
 from operator import eq, lt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     EdgeListParseError,
@@ -57,9 +56,25 @@ from .errors import (
 )
 
 EdgeKey = tuple[int, int]
-# Strictly positive; 0 is reserved to mean "absent".  A parsed non-integral
-# weight is a Decimal; a hand-built graph may also hold a Fraction.  All are exact.
-Weight = int | Decimal | Fraction
+if TYPE_CHECKING:
+    from decimal import Decimal, InvalidOperation
+    from fractions import Fraction
+
+    # Strictly positive; 0 is reserved to mean "absent".  A parsed non-integral
+    # weight is a Decimal; a hand-built graph may also hold a Fraction.  All are exact.
+    Weight = int | Decimal | Fraction
+else:
+    Decimal = InvalidOperation = Fraction = None  # bound by _load_exact
+
+
+def _load_exact() -> None:
+    """Import decimal and fractions into this module, once per process: the
+    first time a weight that is not an int is read, ranked, checked or
+    printed.  A graph of int weights loads neither."""
+    global Decimal, InvalidOperation, Fraction
+    if Decimal is None:
+        from decimal import Decimal, InvalidOperation
+        from fractions import Fraction
 
 
 class Mode(Enum):
@@ -220,6 +235,9 @@ def _bulk_valid(g: WeightedGraph) -> bool:
 def _rational(w: Weight) -> int | Fraction:
     """w as an int or a Fraction: a Decimal becomes the Fraction of its
     value, so it prints as one ("3/2", not "1.50") whichever type holds it."""
+    if type(w) is int:
+        return w
+    _load_exact()
     return Fraction(w) if type(w) is Decimal else w
 
 
@@ -229,8 +247,11 @@ def _distinct_positive(g: WeightedGraph) -> bool:
     is > 0 and each is below the next, so no weight is hashed.  Weights of
     any other type answer False and go to the per-edge loop."""
     edges = g.edges
-    if not set(map(type, edges.values())) <= {int, Decimal, Fraction}:
-        return False
+    others = set(map(type, edges.values())) - {int}
+    if others:
+        _load_exact()
+        if not others <= {Decimal, Fraction}:
+            return False
     weights = list(map(edges.__getitem__, g._ascending))
     return not weights or (weights[0] > 0 and all(map(lt, weights, weights[1:])))
 
@@ -423,6 +444,7 @@ def _decimal_column(column: list[str]) -> list[Weight] | None:
         and any(len(t) - ("." in t[1:-1]) > MAX_WEIGHT_DIGITS for t in column)
     ):
         return None
+    _load_exact()
     try:
         weights = list(map(Decimal, column))
     except InvalidOperation:
@@ -508,6 +530,7 @@ def _parse_weight(token: str, line_no: int) -> Weight:
             return int(token)
         except ValueError:
             pass
+    _load_exact()
     try:  # every error below, too many digits for int() included, is "cannot parse"
         if token.isascii() and whole.isdigit() and (frac.isdigit() or not dot):
             if len(whole) + len(frac) > MAX_WEIGHT_DIGITS:

@@ -32,7 +32,9 @@ single-step reference the fold is tested against.
 The maximum label after all q steps is the length of a longest strictly
 decreasing trail in the whole graph; increasing trails are obtained from
 decreasing witnesses via reverse_dual, since the optima coincide on
-undirected graphs.
+undirected graphs.  check_lower_bound, the decreasing report against the
+paper's two floor-form bounds, lives here, beside the fold that computes
+them; extremal re-exports it.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def final_label_lengths(n: int, edges_in_order: Iterable[Sequence[int]]) -> list
 def longest_ordered_trail(g: WeightedGraph, kind: Order) -> TrailReport:
     """Optimum ordered-trail length with a witness, the final labels and
     the two floor-form lower bounds, which are computed here and nowhere
-    else (extremal.check_lower_bound returns this report).
+    else (check_lower_bound returns this report).
 
     The optimum is the maximum final label; the reported witness starts at
     the smallest vertex attaining it (for increasing trails, the dual of
@@ -190,6 +192,19 @@ def longest_ordered_trail(g: WeightedGraph, kind: Order) -> TrailReport:
         bound_two_floor_q_over_n=2 * (g.q // g.n),
         bound_floor_two_q_over_n=(2 * g.q) // g.n,
     )
+
+
+def check_lower_bound(g: WeightedGraph) -> TrailReport:
+    """Longest-trail length against both floor-form guarantees, as
+    longest_ordered_trail reports them.
+
+    bound a = 2*floor(q/n); bound b = floor(2q/n), never smaller than a.
+    Both must hold on every valid graph: the label sum grows by at least 2
+    per processed edge, so the final sum is >= 2q and some vertex carries a
+    label of at least floor(2q/n).  A failure signals an implementation bug
+    and is reported, not raised.  An invalid graph raises InvalidGraphError.
+    """
+    return longest_ordered_trail(g, Order.DECREASING)
 
 
 def trail_report_json(report: TrailReport, g: WeightedGraph) -> dict:

@@ -13,7 +13,7 @@ import pytest
 
 import monotrails
 from monotrails import parse_edge_list, render_edge_list
-from monotrails import cli
+from monotrails import cli, extremal
 from monotrails.cli import main
 
 SCHEMA_DIR = Path(__file__).parent.parent / "docs"
@@ -480,7 +480,7 @@ class TestExtremal:
         def build(n):
             raise AssertionError(f"K_{n} built")
 
-        monkeypatch.setattr(cli, "complete_structure", build)
+        monkeypatch.setattr(extremal, "complete_structure", build)  # cli imports it per call
         assert run_cli(capsys, "extremal", "--complete", "4472", "--sample", "1") == (
             2, "", "error: q=9997156 exceeds the sampled guard of 1200000\n"
         )

@@ -277,6 +277,7 @@ def test_plain_decimal_files_build_no_fraction(monkeypatch, texts, by_columns):
         raise AssertionError(f"{token!r} parsed token by token")
 
     parse_columns = graphs._parse_columns
+    graphs._load_exact()  # binds graphs.Fraction, which no later call then rebinds
     monkeypatch.setattr(graphs, "Fraction", CountingFraction)
     if by_columns:
         monkeypatch.setattr(graphs, "_parse_weight", no_token_by_token)

@@ -1,5 +1,6 @@
 """The package's public names, its records, and what importing it loads."""
 
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +21,11 @@ from monotrails import (
     TrailReport,
     Violation,
     WeightedGraph,
+    extremal,
+    labeling,
     parse_edge_list,
+    random_graph,
+    render_edge_list,
     structure_of,
 )
 from monotrails.errors import InvalidStructureError
@@ -69,6 +74,78 @@ def test_importing_the_package_loads_no_pool_and_no_dataclasses(flags, unused):
     )
     run = python(*flags, "-c", code)
     assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+# Modules only some calls need: the exact weight types, for a weight that is
+# not an int, and the extremal engine, for a search or an extremal name.
+LAZY = ("decimal", "fractions", "monotrails.extremal")
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def cli_runs(flags, *argvs):
+    """Run main on each argv in a fresh interpreter that imports the
+    package and its CLI: the commands' stdout, and a last line of their
+    exit codes and the LAZY modules then loaded."""
+    code = (
+        "import json, sys, monotrails, monotrails.cli\n"
+        "codes = [monotrails.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        f"print(codes, sorted(m for m in {LAZY!r} if m in sys.modules))"
+    )
+    run = python(*flags, "-c", code, json.dumps(argvs))
+    assert run.returncode == 0, run.stderr
+    out, _, last = run.stdout.rstrip("\n").rpartition("\n")
+    return out + "\n", last
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_integer_weights_load_neither_decimal_nor_the_extremal_engine(tmp_path, flags):
+    strict = tmp_path / "r9.txt"
+    strict.write_text(render_edge_list(random_graph(9, 36, 1)))
+    relaxed = tmp_path / "gaps.txt"  # int weights, but not 1..q: read as relaxed
+    relaxed.write_text("p 4 3\ne 1 2 5\ne 2 3 2\ne 3 4 9\n")
+    argvs = [
+        [command, str(path), *extra]
+        for path in (strict, relaxed)
+        for command, *extra in (["check"], ["compute", "--order", "inc", "--trail", "--labels"],
+                                ["oracle"], ["check", "--json"])
+    ]
+    _, loaded = cli_runs(flags, *argvs)
+    assert loaded == f"{[0] * len(argvs)} []"
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_plain_decimal_weights_load_decimal_and_print_as_before(flags):
+    graph = str(FIXTURES / "relaxed_decimal.txt")
+    out, loaded = cli_runs(flags, ["compute", graph, "--order", "inc", "--trail", "--labels"],
+                           ["check", graph, "--json"])
+    expected = [(FIXTURES / f"relaxed_decimal.{name}.out").read_text()
+                for name in ("compute_order_inc_trail_labels", "check_json")]
+    assert out == "".join(expected)
+    assert loaded == "[0, 0] ['decimal', 'fractions']"
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+@pytest.mark.parametrize("access", ["monotrails.min_over_weightings",
+                                    "from monotrails import Structure"])
+def test_an_extremal_name_loads_the_engine_on_first_access(flags, access):
+    code = (
+        "import sys, monotrails\n"
+        "before = 'monotrails.extremal' in sys.modules\n"
+        f"{access}\n"
+        "print(before, 'monotrails.extremal' in sys.modules)"
+    )
+    run = python(*flags, "-c", code)
+    assert (run.returncode, run.stdout) == (0, "False True\n"), run.stderr
+
+
+def test_the_lazy_names_are_the_engine_s_own():
+    assert all(getattr(monotrails, name) is getattr(extremal, name)
+               for name in monotrails._EXTREMAL)
+    assert set(monotrails._EXTREMAL) <= set(monotrails.__all__)
+    assert monotrails.check_lower_bound is labeling.check_lower_bound
+    assert extremal.check_lower_bound is labeling.check_lower_bound
+    with pytest.raises(AttributeError, match="has no attribute 'not_a_name'"):
+        monotrails.not_a_name
 
 
 def test_a_pooled_search_imports_multiprocessing_and_prints_the_serial_report(tmp_path):

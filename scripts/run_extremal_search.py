@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Guaranteed trail lengths in small complete graphs.
 
-For each n up to --max-n, searches every assignment of the weights
-1..n(n-1)/2 to the edges of K_n (or one representative per relabeling
-orbit with --reduce) and reports the minimum longest-trail length, i.e.
+For each n up to --max-n, finds the minimum longest-trail length over
+every assignment of the weights 1..n(n-1)/2 to the edges of K_n, i.e.
 the trail length guaranteed to exist no matter how the weights fall.
+The search folds one representative per relabeling orbit either way;
+--reduce changes only the examined column, from q! to q!/n!.
 
 Expected at desk scale: 3, 3, 5 for n = 3, 4, 5 -- the guarantee exceeds
 the generic n-1 exactly at n in {3, 5}.
@@ -25,7 +26,7 @@ from monotrails.extremal import EXHAUSTIVE_MAX_EDGES
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=5, help="largest complete graph, from 3")
-    parser.add_argument("--reduce", action="store_true", help="quotient by relabeling symmetry")
+    parser.add_argument("--reduce", action="store_true", help="count one weighting per relabeling orbit")
     args = parser.parse_args(argv)
     if args.max_n < 3:
         parser.error(f"--max-n must be >= 3 (the table starts at K3), got {args.max_n}")

@@ -72,10 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--reduce",
         action="store_true",
-        help="one weighting per relabeling orbit; acts only on --exhaustive runs of K_n "
-        "with n >= 3 (reduction factor 1 otherwise)",
+        help="report one weighting per relabeling orbit (examined q!/n!, factor n!); acts only "
+        "on --exhaustive runs of K_n with n >= 3, which search those orders either way",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, plain --exhaustive runs only")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, --exhaustive runs not of K_n")
     p.add_argument("--timing", action="store_true", help="include measured elapsed_ms in JSON output")
     p.add_argument("--json", action="store_true")
 

@@ -9,18 +9,20 @@ achieves the minimum, which makes the result independent of how the
 search is split into tasks and across workers.
 
 The search folds processing orders, the inverses of weight vectors, since
-the label update takes edges in ascending weight order.  Exhaustive and
-reduced runs go depth-first through _search: a task folds a start prefix
-once, then places one available edge per level, changing only the two
-labels it touches and restoring them on the way back, so orders share the
-fold of their common prefix.  Placing an edge makes the edges its unlock
-table entry lists available.  Exhaustive mode has no unlocks and one task
-per edge of weight 1: edge 0, and each edge outside edge 0's orbit under
-the vertex automorphisms.  A relabeling that carries edge j onto edge 0
-keeps every trail length, so task j's minimum is task 0's; and each of its
-weightings has w[0] >= 2, so it loses to task 0's witness at position 0.
-Only these tasks go to workers; the reduced search is one task of
-milliseconds.  Sampled mode folds in the calling process, which alone can
+the label update takes edges in ascending weight order.  Exhaustive runs
+go depth-first through _search: a task folds a start prefix once, then
+places one available edge per level, changing only the two labels it
+touches and restoring them on the way back, so orders share the fold of
+their common prefix.  Placing an edge makes the edges its unlock table
+entry lists available.  K_n with n >= 3 is one task whose unlock table
+admits only the canonical orders (below), whether or not reduce_symmetry
+is set.  Any other structure has no unlocks and one task per edge of
+weight 1: edge 0, and each edge outside edge 0's orbit under the vertex
+automorphisms.  A relabeling that carries edge j onto edge 0 keeps every
+trail length, so task j's minimum is task 0's; and each of its weightings
+has w[0] >= 2, so it loses to task 0's witness at position 0.  Only these
+tasks go to workers; the canonical search is one task of milliseconds.
+Sampled mode folds in the calling process, which alone can
 draw its one seeded stream: _scan folds each order, drawn just before,
 from zero labels, and leaves it once a label passes the best value.  The m
 vertices with edges are renumbered 0..m-1 in ascending order first, which
@@ -37,16 +39,21 @@ min_over_weightings.
 Symmetry reduction (complete graphs, n >= 3): relabeling vertices never
 changes trail lengths, and no nontrivial relabeling fixes a
 distinct-weight assignment, so the weightings fall into orbits of size
-exactly n!.  One canonical weighting per orbit is enumerated directly by
-pinning weight 1 onto edge (v1,v2), orienting that edge so v1's
-second-smallest incident weight is the smaller one, and sorting the
-remaining vertices by their weight to v1:
+exactly n!.  The canonical weighting of an orbit, its lexicographic
+minimum, is enumerated directly by pinning weight 1 onto edge (v1,v2),
+orienting that edge so v1's second-smallest incident weight is the
+smaller one, and sorting the remaining vertices by their weight to v1:
 
     w(v1,v2) = 1,   w(v1,v3) < w(v1,v4) < ... ,   w(v1,v3) < min_x w(v2,x)
 
 The canonical orders are exactly those that respect one unlock table: hub
 (v1,x) unlocks (v1,x+1), and (v1,v3) also unlocks every rival (v2,x).
 One task, edge (v1,v2) first, yields q!/n! orders in all, none filtered.
+Each weighting has its orbit minimum's value, and the lex-min witness
+over all q! weightings is the minimum of its own orbit, so this task
+finds the minimum and witness of the whole space.  reduce_symmetry
+therefore changes only the report: `examined` q!/n! and
+`reduction_factor` n!, against q! and 1.
 
 check_lower_bound is labeling's, re-exported here for callers that import
 it from this module; the package and cli take it from labeling, so only a
@@ -66,7 +73,7 @@ from .errors import InvalidStructureError, MonotrailsError
 from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import _fold, check_lower_bound  # check_lower_bound: re-exported, see above
 
-EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 is one task, about 0.1 s
+EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 folds its 10!/5! canonical orders
 # A sampled search holds about 280 bytes per edge: one-sample K_1414 and K_1549
 # searches peaked at 283 and 336 MB under a 1 GiB RLIMIT_AS, so this guard
 # keeps one near a third of 1 GiB.
@@ -309,8 +316,8 @@ def _first_edge_tasks(n: int, endpoints):
 
 
 def _reduce_task(n: int, endpoints):
-    """The --reduce task of K_n: edge (v1,v2) first, then the unlock table
-    that admits exactly the canonical orders."""
+    """The one exhaustive task of K_n, n >= 3: edge (v1,v2) first, then the
+    unlock table that admits exactly the canonical orders."""
     q = len(endpoints)
     unlocks = [()] * q
     for h in range(1, n - 2):  # hub (v1,v(h+2)) is edge h
@@ -365,16 +372,17 @@ def min_over_weightings(
 ) -> ExtremalReport:
     """Minimum longest-decreasing-trail length over weightings of a structure.
 
-    Exhaustive mode covers all q! weightings (q <= EXHAUSTIVE_MAX_EDGES), or one
-    canonical representative per relabeling orbit when reduce_symmetry is
-    set and the structure is complete with n >= 3 (reduction factor 1
-    otherwise, and always in Sampled mode).  Sampled mode draws `count`
-    uniform weight permutations from the given seed via Fisher-Yates
-    (random.Random), for q <= SAMPLED_MAX_EDGES.  `examined` is the number
-    of weightings the run covers: q!, q!/n! reduced, or `count`.
-    Results, including the witness, are identical for any `jobs` >= 1.
-    Only plain exhaustive runs start workers, at most min(jobs, usable
-    CPUs, tasks); sampled and reduced runs search in the calling process.
+    Exhaustive mode covers all q! weightings (q <= EXHAUSTIVE_MAX_EDGES);
+    on K_n with n >= 3 it folds one canonical weighting per relabeling
+    orbit, which has the same minimum and witness, and reduce_symmetry
+    reports that space, reduction factor n! (1 otherwise, and always in
+    Sampled mode).  Sampled mode draws `count` uniform weight permutations
+    from the given seed via Fisher-Yates (random.Random), for
+    q <= SAMPLED_MAX_EDGES.  `examined` is the number of weightings the
+    run covers: q!, q!/n! reduced, or `count`.  Results, including the
+    witness, are identical for any `jobs` >= 1.  Only exhaustive runs of
+    other structures start workers, at most min(jobs, usable CPUs, tasks);
+    every other run searches in the calling process.
     """
     q = structure.q
     check_search(q, mode, jobs)
@@ -388,8 +396,9 @@ def min_over_weightings(
 
     if isinstance(mode, Sampled):
         best, best_w = _scan(m, endpoints, _sampled_orders(q, mode))
-    elif reduce_symmetry and structure.is_complete and structure.n >= 3:
-        reduction_factor = math.factorial(structure.n)
+    elif structure.is_complete and structure.n >= 3:
+        if reduce_symmetry:
+            reduction_factor = math.factorial(structure.n)
         best, best_w = _search(_reduce_task(m, endpoints))
     else:
         best, best_w = _run_tasks(_first_edge_tasks(m, endpoints), jobs)

@@ -100,6 +100,20 @@ def generated_weightings(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def orbit(n: int, w) -> set[tuple[int, ...]]:
+    """Every relabeling of the weight vector w of K_n, one per vertex
+    permutation."""
+    index = {k: i for i, k in enumerate(combinations(range(n), 2))}
+    out = set()
+    for sigma in permutations(range(n)):
+        img = [0] * len(index)
+        for (a, b), j in index.items():
+            sa, sb = sigma[a], sigma[b]
+            img[index[(min(sa, sb), max(sa, sb))]] = w[j]
+        out.add(tuple(img))
+    return out
+
+
 class TestMinOverWeightingsExhaustive:
     def test_k3_matches_brute_force_scan(self):
         expect_min, expect_witness = oracle_min_over_weightings(3)
@@ -376,26 +390,12 @@ class TestSymmetryReduction:
         # Rebuild the canonical filter from its definition and verify that
         # the surviving weightings hit every vertex-relabeling orbit of the
         # 720 weightings of K4 exactly once.
-        n = 4
-        keys = list(combinations(range(n), 2))
-        q = len(keys)
-        index = {k: i for i, k in enumerate(keys)}
-
-        def orbit(w):
-            out = set()
-            for sigma in permutations(range(n)):
-                img = [0] * q
-                for (a, b), j in index.items():
-                    sa, sb = sigma[a], sigma[b]
-                    img[index[(min(sa, sb), max(sa, sb))]] = w[j]
-                out.add(tuple(img))
-            return out
-
+        n, q = 4, 6
         survivors = [w for w in permutations(range(1, q + 1)) if canonical(n, w)]
         assert len(survivors) == 30
         covered = set()
         for w in survivors:
-            orb = orbit(w)
+            orb = orbit(n, w)
             assert len(orb) == 24  # the action is free on distinct weights
             assert not (orb & covered)
             covered |= orb
@@ -409,6 +409,44 @@ class TestSymmetryReduction:
         # Weight 1 on (v1,v2) is part of the definition, so only the tails vary.
         survivors = {w for w in ((1, *t) for t in permutations(range(2, q + 1))) if canonical(n, w)}
         assert set(generated) == survivors
+
+    # A plain search of K_n folds only the canonical orders, and --reduce
+    # changes only the report.  That is exact: relabeling keeps every trail
+    # length, so each weighting has the value of its orbit's lex-min, and the
+    # lex-min witness, being the lex-min of its own orbit, is canonical.
+    @pytest.mark.parametrize("n, sample", [(3, None), (4, None), (5, 1000)])
+    def test_each_generated_weighting_is_its_orbits_lex_min(self, n, sample):
+        generated = generated_weightings(n)
+        if sample:
+            generated = random.Random(2).sample(generated, sample)
+        for w in generated:
+            assert min(orbit(n, w)) == w
+
+    @pytest.mark.parametrize("n, count", [(5, 1000), (6, 100)])
+    def test_the_orbit_minimum_of_a_random_weighting_is_canonical(self, n, count):
+        rng = random.Random(n)
+        q = n * (n - 1) // 2
+        for _ in range(count):
+            assert canonical(n, min(orbit(n, rng.sample(range(1, q + 1), q))))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_plain_search_finds_what_the_first_edge_tasks_find(self, n):
+        s = complete_structure(n)
+        report = min_over_weightings(s)
+        tasks = extremal._first_edge_tasks(n, s.edges)
+        assert (report.minimum, report.witness) == min(map(extremal._search, tasks))
+        assert (report.examined, report.reduction_factor) == (math.factorial(s.q), 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_plain_search_runs_the_canonical_task_alone(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("the first-edge tasks were run")
+
+        monkeypatch.setattr(extremal, "_run_tasks", refuse)
+        plain = min_over_weightings(complete_structure(n), jobs=2)
+        reduced = min_over_weightings(complete_structure(n), reduce_symmetry=True, jobs=2)
+        assert (plain.minimum, plain.witness) == (reduced.minimum, reduced.witness)
+        assert plain.examined == reduced.examined * reduced.reduction_factor
 
     def test_jobs_do_not_change_the_reduced_report(self, no_pool):
         # One search of milliseconds: it runs in the calling process at any jobs.

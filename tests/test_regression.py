@@ -1,15 +1,16 @@
-"""Byte-identity of CLI output on two seeded fixture graphs, three extremal
-searches (each at one and three jobs, and as text), nine small files and
-eight oracle inputs.
+"""Byte-identity of CLI output on two seeded fixture graphs, four extremal
+searches (each at one, two and three jobs, and as text), nine small files
+and eight oracle inputs.
 
 The files under fixtures/ hold a dense strict graph (400 edges on 30
 vertices) and a relaxed graph with decimal weights (300 edges on 40
 vertices, including decimals that round to the same double), together with
 the stdout of three commands on each, captured before the label fold, the
 rank key and the weight parser were rewritten for speed.  The extremal.*
-files hold the stdout of an exhaustive, a symmetry-reduced and a sampled
-search, captured before the three extremal scan loops became one engine;
-EXTREMAL_TEXT holds the text report of the same three searches and of a
+files hold the stdout of two exhaustive, a symmetry-reduced and a sampled
+search, captured before the three extremal scan loops became one engine
+(the plain K5 search before it folded only the canonical orders);
+EXTREMAL_TEXT holds the text report of the same four searches and of a
 file structure with an isolated vertex, its elapsed line masked.
 small_files.json holds nine small edge-list files -- comments and blank
 lines around the header, u > v endpoints, the edgeless graph, and files
@@ -51,6 +52,7 @@ def test_stdout_is_byte_identical(capsys, graph, command):
 
 EXTREMAL_COMMANDS = {
     "k4_exhaustive": ["--complete", "4", "--exhaustive"],
+    "k5_exhaustive": ["--complete", "5", "--exhaustive"],
     "k5_exhaustive_reduce": ["--complete", "5", "--exhaustive", "--reduce"],
     "k6_sample500_seed3": ["--complete", "6", "--sample", "500", "--seed", "3"],
 }
@@ -59,7 +61,7 @@ EXTREMAL_COMMANDS = {
 @pytest.mark.parametrize(
     "search, jobs",
     [pytest.param(search, jobs, id=search if jobs == 1 else f"{search}-jobs{jobs}")
-     for jobs in (1, 3) for search in EXTREMAL_COMMANDS],
+     for jobs in (1, 2, 3) for search in EXTREMAL_COMMANDS],
 )
 def test_extremal_stdout_is_byte_identical(capsys, search, jobs):
     assert main(["extremal", *EXTREMAL_COMMANDS[search], "--jobs", str(jobs), "--json"]) == 0
@@ -74,6 +76,13 @@ EXTREMAL_TEXT = {
         "examined: 720 weightings (reduction factor 1)\n"
         "minimum longest-trail length: 3\n"
         "witness weighting: [1, 2, 4, 5, 3, 6]\n"
+    ),
+    "k5_exhaustive": (
+        "structure: K5 (q=10, complete)\n"
+        "mode: exhaustive\n"
+        "examined: 3628800 weightings (reduction factor 1)\n"
+        "minimum longest-trail length: 5\n"
+        "witness weighting: [1, 2, 3, 4, 5, 6, 8, 9, 7, 10]\n"
     ),
     "k5_exhaustive_reduce": (
         "structure: K5 (q=10, complete)\n"

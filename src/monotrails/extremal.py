@@ -28,12 +28,15 @@ from zero labels, and leaves it once a label passes the best value.  The m
 vertices with edges are renumbered 0..m-1 in ascending order first, which
 keeps the edge order and every witness, so isolated vertices cost nothing.
 
-_search is a branch and bound.  It skips a prefix whose lower bound, the
-larger of its top label and ceil((label sum + 2 * edges left) / m), is
-above the best value so far, or equals it while no completion can beat
-the best witness lexicographically.  The engines return only the value
-and its witness; the report's `examined` is the size of the space the
-run covers (q!, q!/n! reduced, or the sample count), set once by
+_search raises a value cap by one from the task's lower bound, the
+larger of its top label and ceil((label sum + 2 * edges left) / m).  One
+pass per cap skips every prefix whose bound passes the cap, and every
+(placed set, labels) state its table holds as refuted at that cap; the
+table is emptied when the cap rises.  The first cap that holds an order
+is the minimum, since every lower one was refuted, and that pass keeps its
+lex-min order as the witness.  The engines return only the value and its
+witness; the report's `examined` is the size of the space the run covers
+(q!, q!/n! reduced, or the sample count), set once by
 min_over_weightings.
 
 Symmetry reduction (complete graphs, n >= 3): relabeling vertices never
@@ -73,7 +76,9 @@ from .errors import InvalidStructureError, MonotrailsError
 from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import _fold, check_lower_bound  # check_lower_bound: re-exported, see above
 
-EXHAUSTIVE_MAX_EDGES = 10  # 10! = 3,628,800 weightings; K5 folds its 10!/5! canonical orders
+# 10! = 3,628,800 weightings.  K5's 10!/5! = 30,240 canonical orders take two
+# caps, 4 refuted and 5 held, whose passes reach the last edge 313 times.
+EXHAUSTIVE_MAX_EDGES = 10
 # A sampled search holds about 280 bytes per edge: one-sample K_1414 and K_1549
 # searches peaked at 283 and 336 MB under a 1 GiB RLIMIT_AS, so this guard
 # keeps one near a third of 1 GiB.
@@ -164,12 +169,24 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
     makes unlocks[j] available.  Returns (min value, lex-min weight vector
     achieving it).
 
-    After an edge is placed at `rank`, with `left` = q - rank edges to
-    come, the final value is at least max(top label, ceil((label sum +
-    2*left) / n)), since every edge raises the label sum by at least 2.
-    The prefix is skipped when that bound is (a, b) above the best value so
-    far, or (c) equal to it while no completion can be lexicographically
-    smaller than the best witness (_beaten)."""
+    Each edge still to come raises the label sum by at least 2, so a
+    prefix with `left` edges to come ends at a value of at least max(top
+    label, ceil((label sum + 2*left) / n)).  A cap rises by one from the
+    root's bound.  One depth-first pass per cap skips a placement that
+    lifts a label above the cap or label sum + 2*left above cap*n, and,
+    once it holds a witness, a prefix no completion of which is
+    lexicographically smaller (_beaten).  Every lower cap was refuted, so
+    the first cap that holds an order is the minimum, and its pass's least
+    order the witness.
+
+    The orders that complete a state, the placed set with the labels,
+    depend on the placed set alone: an edge is available once it is in
+    `avail` or the one edge whose unlock list holds it is placed (no edge
+    is in two lists), until it is placed itself.  So a state whose subtree
+    holds no order within the cap has none however it is reached, and the
+    pass skips it when met again.  It is recorded only when no _beaten
+    skip fell in its subtree, since such a skip may hide one; the table is
+    emptied when the cap rises."""
     n, endpoints, start, avail, unlocks = task
     q = len(endpoints)
     if len(start) >= q - 1:  # at most one edge left: one order
@@ -178,12 +195,16 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
     w = [0] * q  # weight buffer: 0 marks an unplaced edge, so a level resets its edge on the way up
     for rank, j in enumerate(start, 1):
         w[j] = rank
-    best, best_w = q + 1, None
+    refuted = set()  # the (placed mask, *labels) states with no order within the cap
+    best_w = None
 
-    def place(avail, rank, top, total):
-        """Place each available edge at `rank`; two or more edges are left.
-        top and total are the labels' maximum and sum."""
-        nonlocal best, best_w
+    def place(avail, rank, total, placed):
+        """Place each available edge at `rank`; two or more edges are left,
+        and no label is above the cap.  total is the labels' sum.  Returns
+        whether the subtree holds no order within the cap and no _beaten
+        skip."""
+        nonlocal best_w
+        refutes = True
         left = q - rank
         for i, j in enumerate(avail):
             u, v = endpoints[j]
@@ -197,34 +218,42 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
             else:
                 t = labels[u] = labels[v] = lu + 1
                 s = total + 2
-            if t < top:
-                t = top
-            w[j] = rank
-            if left > 1:
-                bound = -(-(s + 2 * left) // n)
-                if bound < t:
-                    bound = t
-                if not (bound > best or (bound == best and _beaten(w, best_w, rank))):
-                    place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, t, s)
-            else:  # fold the last edge in place
-                k = (avail[:i] + avail[i + 1 :] + unlocks[j])[0]
-                a, b = endpoints[k]
-                la, lb = labels[a], labels[b]
-                value = lb + 1 if lb >= la else la + 1
-                if value < t:
-                    value = t
-                if value <= best:
-                    w[k] = q
-                    wt = tuple(w)
-                    w[k] = 0
-                    if value < best or wt < best_w:
-                        best, best_w = value, wt
-            w[j] = 0
+            if t <= cap and s + 2 * left <= room:
+                w[j] = rank
+                if left > 1:
+                    if best_w is not None and _beaten(w, best_w, rank):
+                        refutes = False
+                    else:
+                        key = (placed | 1 << j, *labels)
+                        if key not in refuted:
+                            if place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, s, key[0]):
+                                refuted.add(key)
+                            else:
+                                refutes = False
+                else:  # fold the last edge in place
+                    k = (avail[:i] + avail[i + 1 :] + unlocks[j])[0]
+                    a, b = endpoints[k]
+                    if labels[a] < cap and labels[b] < cap:  # its new label is one above the larger
+                        refutes = False
+                        w[k] = q
+                        wt = tuple(w)
+                        w[k] = 0
+                        if best_w is None or wt < best_w:
+                            best_w = wt
+                w[j] = 0
             labels[u], labels[v] = lu, lv
+        return refutes
 
-    place(avail, len(start) + 1, max(labels), sum(labels))
+    total = sum(labels)
+    root = max(max(labels), -(-(total + 2 * (q - len(start))) // n))
+    for cap in range(root, q + 1):  # no order ends above q, so some cap holds one
+        room = cap * n
+        place(avail, len(start) + 1, total, sum(1 << j for j in start))
+        if best_w is not None:
+            break
+        refuted.clear()
     del place  # place refers to itself through its closure cell; emptying the cell breaks the cycle
-    return best, best_w
+    return cap, best_w
 
 
 def _beaten(w, best_w, rank) -> bool:

@@ -87,6 +87,28 @@ def admitted_orders(start, avail, unlocks):
         yield from admitted_orders(start + (j,), rest, unlocks)
 
 
+def branch(task, edges):
+    """The task after placing `edges` in turn, each available when placed."""
+    n, endpoints, start, avail, unlocks = task
+    for j in edges:
+        i = avail.index(j)
+        start, avail = start + (j,), avail[:i] + avail[i + 1 :] + unlocks[j]
+    return (n, endpoints, start, avail, unlocks)
+
+
+K5_TASK = extremal._reduce_task(5, complete_structure(5).edges)
+
+
+@st.composite
+def k5_prefixes(draw):
+    """Edges the K5 task may place after its start, in turn, leaving at
+    least two to come."""
+    prefix = ()
+    for _ in range(draw(st.integers(0, 10 - len(K5_TASK[2]) - 2))):
+        prefix += (draw(st.sampled_from(branch(K5_TASK, prefix)[3])),)
+    return prefix
+
+
 def generated_weightings(n: int) -> list[tuple[int, ...]]:
     """Every order the reduced search folds for K_n, as a weight vector."""
     q = n * (n - 1) // 2
@@ -273,6 +295,8 @@ class TestPruningAgainstTheOrderStream:
     @example(Structure(n=7, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (4, 5), (5, 6))))
     # A weight left in the buffer by a finished level would change this one's witness.
     @example(Structure(n=5, edges=((0, 3), (0, 4), (1, 3), (2, 3), (2, 4))))
+    # A state recorded as refuted after a _beaten skip below it would change this one's witness.
+    @example(Structure(n=5, edges=((0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4))))
     # Edge-transitive structures run one task; the paw runs several.
     @example(C4)
     @example(C5)
@@ -300,6 +324,40 @@ class TestPruningAgainstTheOrderStream:
         for t in [task, *branches]:
             orders = admitted_orders(*t[2:])
             assert extremal._search(t) == extremal._scan(n, endpoints, orders)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_structures(max_n=7, max_q=7))
+    # K4 with a pendant edge, and two more edges apart: with the pendant edge
+    # first, every order ends at 4, two above the bound of 2 at the root.
+    @example(Structure(n=9, edges=((0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (5, 6), (7, 8))))
+    def test_each_first_edge_task_decides_the_orders_it_admits(self, s):
+        for t in extremal._first_edge_tasks(s.n, s.edges):
+            assert extremal._search(t) == extremal._scan(s.n, s.edges, admitted_orders(*t[2:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(k5_prefixes())
+    # After (v1,v2), placing (v1,v3), (v3,v5), (v4,v5), (v2,v4) leaves labels
+    # whose bound is 5, yet every order ends at 7: its search refutes two caps.
+    @example((1, 8, 9, 5))
+    def test_each_branch_of_the_k5_task_decides_the_orders_it_admits(self, prefix):
+        t = branch(K5_TASK, prefix)
+        assert extremal._search(t) == extremal._scan(5, t[1], admitted_orders(*t[2:]))
+
+    def test_every_structure_on_five_vertices_with_at_most_six_edges(self):
+        # 848 structures, each task on its own too: a state wrongly skipped in
+        # one task cannot hide behind another task's minimum or witness.
+        count = 0
+        for q in range(7):
+            for edges in combinations(combinations(range(5), 2), q):
+                s = Structure(n=5, edges=edges)
+                report = min_over_weightings(s)
+                assert (report.minimum, report.witness) == extremal._scan(
+                    5, edges, permutations(range(q))
+                ), edges
+                for t in extremal._first_edge_tasks(5, edges):
+                    assert extremal._search(t) == extremal._scan(5, edges, admitted_orders(*t[2:]))
+                count += 1
+        assert count == 848
 
 
 def carried_edge_pairs(s: Structure) -> set[tuple[int, int]]:

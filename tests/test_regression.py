@@ -1,6 +1,6 @@
-"""Byte-identity of CLI output on two seeded fixture graphs, four extremal
-searches (each at one, two and three jobs, and as text), nine small files
-and eight oracle inputs.
+"""Byte-identity of CLI output on two seeded fixture graphs, five extremal
+searches (each at one, two and three jobs, four of them also as text),
+nine small files and eight oracle inputs.
 
 The files under fixtures/ hold a dense strict graph (400 edges on 30
 vertices) and a relaxed graph with decimal weights (300 edges on 40
@@ -9,8 +9,11 @@ the stdout of three commands on each, captured before the label fold, the
 rank key and the weight parser were rewritten for speed.  The extremal.*
 files hold the stdout of two exhaustive, a symmetry-reduced and a sampled
 search, captured before the three extremal scan loops became one engine
-(the plain K5 search before it folded only the canonical orders);
-EXTREMAL_TEXT holds the text report of the same four searches and of a
+(the plain K5 search before it folded only the canonical orders), and of
+an exhaustive search of extremal.r6_9_seed1.txt, `gen --random 6 9 --seed
+1`, whose eight first-edge tasks go to the pool, captured before the
+search came to raise a value cap;
+EXTREMAL_TEXT holds the text report of the first four searches and of a
 file structure with an isolated vertex, its elapsed line masked.
 small_files.json holds nine small edge-list files -- comments and blank
 lines around the header, u > v endpoints, the edgeless graph, and files
@@ -55,6 +58,7 @@ EXTREMAL_COMMANDS = {
     "k5_exhaustive": ["--complete", "5", "--exhaustive"],
     "k5_exhaustive_reduce": ["--complete", "5", "--exhaustive", "--reduce"],
     "k6_sample500_seed3": ["--complete", "6", "--sample", "500", "--seed", "3"],
+    "r6_9_seed1_exhaustive": ["--file", str(FIXTURES / "extremal.r6_9_seed1.txt"), "--exhaustive"],
 }
 
 

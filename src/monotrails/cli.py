@@ -5,7 +5,8 @@ agreement check), check (lower bounds plus oracle agreement), extremal
 (minimum over weightings of a structure), gen (write edge-list files).
 
 Exit codes: 0 success; 1 a computed property check failed (bound violated
-or oracle disagreement); 2 usage, parse, or input-validation error.
+or oracle disagreement); 2 usage, parse, or input-validation error, a
+file-system error, or running out of memory.
 """
 
 from __future__ import annotations
@@ -75,7 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report one weighting per relabeling orbit (examined q!/n!, factor n!); acts only "
         "on --exhaustive runs of K_n with n >= 3, which search those orders either way",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, --exhaustive runs not of K_n")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility, must be >= 1; every search runs in one process",
+    )
     p.add_argument("--timing", action="store_true", help="include measured elapsed_ms in JSON output")
     p.add_argument("--json", action="store_true")
 

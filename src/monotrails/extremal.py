@@ -6,7 +6,7 @@ longest-decreasing-trail length under every assignment of the weights
 the minimum together with a witness weighting.  The witness is the
 lexicographically smallest weight vector, in canonical edge order, that
 achieves the minimum, which makes the result independent of how the
-search is split into tasks and across workers.
+search is split into tasks.
 
 The search folds processing orders, the inverses of weight vectors, since
 the label update takes edges in ascending weight order.  Exhaustive runs
@@ -20,13 +20,14 @@ is set.  Any other structure has no unlocks and one task per edge of
 weight 1: edge 0, and each edge outside edge 0's orbit under the vertex
 automorphisms.  A relabeling that carries edge j onto edge 0 keeps every
 trail length, so task j's minimum is task 0's; and each of its weightings
-has w[0] >= 2, so it loses to task 0's witness at position 0.  Only these
-tasks go to workers; the canonical search is one task of milliseconds.
-Sampled mode folds in the calling process, which alone can
-draw its one seeded stream: _scan folds each order, drawn just before,
-from zero labels, and leaves it once a label passes the best value.  The m
-vertices with edges are renumbered 0..m-1 in ascending order first, which
-keeps the edge order and every witness, so isolated vertices cost nothing.
+has w[0] >= 2, so it loses to task 0's witness at position 0.  The tasks
+run one after another in the calling process: under the guard a search
+takes at most about a tenth of a second, which worker processes did not
+shorten.  Sampled mode draws its orders from one seeded stream: _scan
+folds each order, drawn just before, from zero labels, and leaves it
+once a label passes the best value.  The m vertices with edges are
+renumbered 0..m-1 in ascending order first, which keeps the edge order
+and every witness, so isolated vertices cost nothing.
 
 _search raises a value cap by one from the task's lower bound, the
 larger of its top label and ceil((label sum + 2 * edges left) / m).  One
@@ -66,7 +67,6 @@ search loads this module.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from itertools import combinations
@@ -408,10 +408,9 @@ def min_over_weightings(
     Sampled mode).  Sampled mode draws `count` uniform weight permutations
     from the given seed via Fisher-Yates (random.Random), for
     q <= SAMPLED_MAX_EDGES.  `examined` is the number of weightings the
-    run covers: q!, q!/n! reduced, or `count`.  Results, including the
-    witness, are identical for any `jobs` >= 1.  Only exhaustive runs of
-    other structures start workers, at most min(jobs, usable CPUs, tasks);
-    every other run searches in the calling process.
+    run covers: q!, q!/n! reduced, or `count`.  Every search runs in the
+    calling process; `jobs` must be >= 1 and is accepted for compatibility,
+    so results, including the witness, are the same for any value.
     """
     q = structure.q
     check_search(q, mode, jobs)
@@ -425,12 +424,12 @@ def min_over_weightings(
 
     if isinstance(mode, Sampled):
         best, best_w = _scan(m, endpoints, _sampled_orders(q, mode))
-    elif structure.is_complete and structure.n >= 3:
-        if reduce_symmetry:
-            reduction_factor = math.factorial(structure.n)
-        best, best_w = _search(_reduce_task(m, endpoints))
     else:
-        best, best_w = _run_tasks(_first_edge_tasks(m, endpoints), jobs)
+        canonical = structure.is_complete and structure.n >= 3
+        if canonical and reduce_symmetry:
+            reduction_factor = math.factorial(structure.n)
+        tasks = [_reduce_task(m, endpoints)] if canonical else _first_edge_tasks(m, endpoints)
+        best, best_w = min(map(_search, tasks))  # lazy: min keeps only the best result so far
 
     return ExtremalReport(
         structure=structure,
@@ -441,27 +440,6 @@ def min_over_weightings(
         reduction_factor=reduction_factor,
         elapsed_s=time.perf_counter() - t0,
     )
-
-
-def _pool_size(jobs: int, cpus: int, tasks: int) -> int:
-    """Worker processes: no more than asked for, usable CPUs or tasks."""
-    return min(jobs, cpus, tasks)
-
-
-def _run_tasks(tasks, jobs: int) -> tuple[int, tuple[int, ...]]:
-    """The least (value, witness) of _search over the exhaustive tasks; min
-    keeps only the best result so far.  A pool forks where it can; _search
-    and its tasks are module-level and picklable, so the default start
-    method works too."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = _pool_size(jobs, cpus or 1, len(tasks))
-    if size == 1:
-        return min(map(_search, tasks))
-    import multiprocessing  # only a pool needs it, and it is slow to import
-
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    with multiprocessing.get_context(method).Pool(processes=size) as pool:
-        return min(pool.imap(_search, tasks))
 
 
 def extremal_report_json(report: ExtremalReport, include_timing: bool = False) -> dict:

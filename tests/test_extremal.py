@@ -8,7 +8,6 @@ extremal module uses internally.
 
 import gc
 import math
-import multiprocessing
 import random
 from itertools import combinations, permutations
 
@@ -39,7 +38,7 @@ from strategies import strict_graphs
 
 
 # No automorphism moves its diagonal (v1,v2), so each of its 5 edges keeps a
-# first-edge task and a pool has several tasks to share.
+# first-edge task.
 K4_MINUS_AN_EDGE = Structure(n=4, edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
 C4 = Structure(n=4, edges=((0, 1), (0, 3), (1, 2), (2, 3)))
 C5 = Structure(n=5, edges=((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)))
@@ -187,13 +186,6 @@ class TestMinOverWeightingsExhaustive:
             with pytest.raises(ValueError, match="jobs"):
                 min_over_weightings(complete_structure(3), jobs=jobs)
 
-    @pytest.mark.parametrize(
-        "jobs, cpus, tasks, size",
-        [(1, 8, 10, 1), (4, 2, 10, 2), (8, 16, 3, 3), (10**6, 2, 84, 2), (5, 1, 1, 1)],
-    )
-    def test_pool_size_is_capped_by_cpus_and_tasks(self, jobs, cpus, tasks, size):
-        assert extremal._pool_size(jobs, cpus, tasks) == size
-
     def test_jobs_do_not_change_the_report(self):
         serial = min_over_weightings(K4_MINUS_AN_EDGE, jobs=1)
         for jobs in (2, 3, 5):
@@ -203,30 +195,6 @@ class TestMinOverWeightingsExhaustive:
                 serial.witness,
                 serial.examined,
             )
-
-    @pytest.mark.parametrize("s", [K4_MINUS_AN_EDGE, PAW], ids=["K4-e", "paw"])
-    def test_a_pool_without_fork_gives_the_same_report(self, monkeypatch, s):
-        # Where fork is missing the default context is used; spawn stands in
-        # for it here, so tasks and _search really cross a pickle boundary.
-        real_get_context = multiprocessing.get_context
-        asked = []
-
-        def get_context(method=None):
-            asked.append(method)
-            return real_get_context(method or "spawn")
-
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(multiprocessing, "get_context", get_context)
-        monkeypatch.setattr(extremal, "_pool_size", lambda jobs, cpus, tasks: min(jobs, tasks))
-        serial = min_over_weightings(s, jobs=1)
-        assert asked == []
-        pooled = min_over_weightings(s, jobs=2)
-        assert asked == [None]
-        assert (pooled.minimum, pooled.witness, pooled.examined) == (
-            serial.minimum,
-            serial.witness,
-            serial.examined,
-        )
 
     def test_task_results_are_merged_as_they_arrive(self, monkeypatch):
         alive = [0]
@@ -247,16 +215,6 @@ class TestMinOverWeightingsExhaustive:
         report = min_over_weightings(K4_MINUS_AN_EDGE)
         assert report.examined == math.factorial(5) and len(tasks) == 5
         assert most[0] <= 3  # the best so far, the last and the newest: not one per task
-
-
-@pytest.fixture
-def no_pool(monkeypatch):
-    """Make starting a pool fail the test."""
-
-    def refuse(*args):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(multiprocessing, "get_context", refuse)
 
 
 @st.composite
@@ -415,7 +373,7 @@ class TestFirstEdgeOrbit:
             for f in range(s.q):
                 assert extremal._maps_onto(s.n, s.edges, e, f) == ((e, f) in carried)
 
-    def test_k5_exhaustive_starts_no_pool(self, no_pool):
+    def test_k5_exhaustive_starts_no_pool(self):
         report = min_over_weightings(complete_structure(5), jobs=2)
         assert (report.minimum, report.examined) == (5, math.factorial(10))
 
@@ -500,14 +458,13 @@ class TestSymmetryReduction:
         def refuse(*args):
             raise AssertionError("the first-edge tasks were run")
 
-        monkeypatch.setattr(extremal, "_run_tasks", refuse)
+        monkeypatch.setattr(extremal, "_first_edge_tasks", refuse)
         plain = min_over_weightings(complete_structure(n), jobs=2)
         reduced = min_over_weightings(complete_structure(n), reduce_symmetry=True, jobs=2)
         assert (plain.minimum, plain.witness) == (reduced.minimum, reduced.witness)
         assert plain.examined == reduced.examined * reduced.reduction_factor
 
-    def test_jobs_do_not_change_the_reduced_report(self, no_pool):
-        # One search of milliseconds: it runs in the calling process at any jobs.
+    def test_jobs_do_not_change_the_reduced_report(self):
         reports = [
             min_over_weightings(complete_structure(5), reduce_symmetry=True, jobs=jobs)
             for jobs in (1, 2, 3)
@@ -549,9 +506,7 @@ class TestSampled:
         g = complete_graph(4, list(report.witness))
         assert brute_force_longest(g).optimum == report.minimum
 
-    def test_jobs_do_not_change_the_report(self, no_pool):
-        # The orders come from one seeded stream, so the calling process folds
-        # them at any jobs.
+    def test_jobs_do_not_change_the_report(self):
         reports = [
             min_over_weightings(complete_structure(6), mode=Sampled(count=500, seed=3), jobs=jobs)
             for jobs in (1, 2, 3)

@@ -32,8 +32,9 @@ from monotrails.errors import InvalidStructureError
 from monotrails.extremal import _first_edge_tasks
 
 SRC = Path(monotrails.__file__).parents[1]
-# Modules no check, compute or oracle run uses: a pool's, and the record
-# machinery's (dataclasses imports inspect, which imports ast, dis and tokenize).
+# Modules no check, compute or oracle run uses: multiprocessing, which no
+# command uses, and the record machinery's (dataclasses imports inspect, which
+# imports ast, dis and tokenize).
 UNUSED_AT_IMPORT = ("dataclasses", "inspect", "multiprocessing")
 
 
@@ -148,24 +149,31 @@ def test_the_lazy_names_are_the_engine_s_own():
         monotrails.not_a_name
 
 
-def test_a_pooled_search_imports_multiprocessing_and_prints_the_serial_report(tmp_path):
-    graph = tmp_path / "r6.txt"
-    assert python("-m", "monotrails", "gen", "--random", "6", "9", "--seed", "1",
-                  "--out", str(graph)).returncode == 0
-    structure = structure_of(parse_edge_list(graph.read_text()))
+R6 = FIXTURES / "extremal.r6_9_seed1.txt"
+R6_EXHAUSTIVE = ["--file", str(R6), "--exhaustive", "--json"]
+
+
+# Every search runs in the calling process at any --jobs, also r6's, which
+# keeps eight first-edge tasks.
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        R6_EXHAUSTIVE + ["--jobs", "1"],
+        R6_EXHAUSTIVE + ["--jobs", "2"],
+        ["--complete", "5", "--exhaustive", "--jobs", "4"],
+        ["--file", str(R6), "--sample", "2000", "--seed", "1", "--jobs", "2"],
+    ],
+    ids=["r6-jobs1", "r6-jobs2", "K5-jobs4", "sampled-jobs2"],
+)
+def test_no_extremal_run_imports_multiprocessing(argv, flags):
+    structure = structure_of(parse_edge_list(R6.read_text()))
     assert len(_first_edge_tasks(structure.n, structure.edges)) == 8  # every vertex has an edge
-
-    def extremal(jobs):
-        return python("-X", "importtime", "-m", "monotrails", "extremal", "--file", str(graph),
-                      "--exhaustive", "--json", "--jobs", jobs)
-
-    serial, pooled = extremal("1"), extremal("2")
-    assert (serial.returncode, pooled.returncode) == (0, 0), pooled.stderr
-    assert pooled.stdout == serial.stdout
-    assert "multiprocessing" not in imported(serial.stderr)
-    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("one usable CPU: --jobs 2 searches in the calling process")
-    assert "multiprocessing" in imported(pooled.stderr)
+    run = python(*flags, "-X", "importtime", "-m", "monotrails", "extremal", *argv)
+    assert run.returncode == 0, run.stderr
+    assert "multiprocessing" not in imported(run.stderr)
+    if argv[: len(R6_EXHAUSTIVE)] == R6_EXHAUSTIVE:
+        assert run.stdout == (FIXTURES / "extremal.r6_9_seed1_exhaustive.out").read_text()
 
 
 STRUCTURE = Structure(n=3, edges=((0, 1), (1, 2)))

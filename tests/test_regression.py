@@ -11,8 +11,8 @@ files hold the stdout of two exhaustive, a symmetry-reduced and a sampled
 search, captured before the three extremal scan loops became one engine
 (the plain K5 search before it folded only the canonical orders), and of
 an exhaustive search of extremal.r6_9_seed1.txt, `gen --random 6 9 --seed
-1`, whose eight first-edge tasks go to the pool, captured before the
-search came to raise a value cap;
+1`, which keeps eight first-edge tasks, captured before the search came
+to raise a value cap;
 EXTREMAL_TEXT holds the text report of the first four searches and of a
 file structure with an isolated vertex, its elapsed line masked.
 small_files.json holds nine small edge-list files -- comments and blank

@@ -5,8 +5,8 @@ longest-decreasing-trail length under every assignment of the weights
 1..q to the edges (or a seeded random sample of assignments) and reports
 the minimum together with a witness weighting.  The witness is the
 lexicographically smallest weight vector, in canonical edge order, that
-achieves the minimum, which makes the result independent of how the
-search is split into tasks.
+achieves the minimum, which makes the result independent of the order in
+which the search visits the weightings.
 
 The search folds processing orders, the inverses of weight vectors, since
 the label update takes edges in ascending weight order.  Exhaustive runs
@@ -16,18 +16,18 @@ touches and restoring them on the way back, so orders share the fold of
 their common prefix.  Placing an edge makes the edges its unlock table
 entry lists available.  K_n with n >= 3 is one task whose unlock table
 admits only the canonical orders (below), whether or not reduce_symmetry
-is set.  Any other structure has no unlocks and one task per edge of
-weight 1: edge 0, and each edge outside edge 0's orbit under the vertex
-automorphisms.  A relabeling that carries edge j onto edge 0 keeps every
-trail length, so task j's minimum is task 0's; and each of its weightings
-has w[0] >= 2, so it loses to task 0's witness at position 0.  The tasks
-run one after another in the calling process: under the guard a search
-takes at most about a tenth of a second, which worker processes did not
-shorten.  Sampled mode draws its orders from one seeded stream: _scan
-folds each order, drawn just before, from zero labels, and leaves it
-once a label passes the best value.  The m vertices with edges are
-renumbered 0..m-1 in ascending order first, which keeps the edge order
-and every witness, so isolated vertices cost nothing.
+is set.  Any other structure is one task from the empty prefix with every
+edge available and no unlocks, so its first edges share one cap ladder
+and one refuted-state table.  Edge 0 comes first, and once its subtree
+holds an order within the cap, which has weight 1 on edge 0, _beaten cuts
+every other first edge at depth 1.  The search runs in the calling
+process: under the guard the slowest search measured took about 30 ms,
+which worker processes did not shorten.  Sampled mode draws its orders
+from one seeded stream: _scan folds each order, drawn just before, from
+zero labels, and leaves it once a label passes the best value.  The m
+vertices with edges are renumbered 0..m-1 in ascending order first, which
+keeps the edge order and every witness, so isolated vertices cost
+nothing.
 
 _search raises a value cap by one from the task's lower bound, the
 larger of its top label and ceil((label sum + 2 * edges left) / m).  One
@@ -303,47 +303,6 @@ def _scan(n: int, endpoints, orders) -> tuple[int, tuple[int, ...]]:
     return best, best_w
 
 
-def _maps_onto(n: int, endpoints, e: int, f: int) -> bool:
-    """Whether some vertex automorphism of the structure carries edge e
-    onto edge f.  Backtracks over the vertices, e's ends first, giving
-    each an unused image of its degree whose adjacency to the images so
-    far matches its own to the vertices mapped so far."""
-    adj = [set() for _ in range(n)]
-    for u, v in endpoints:
-        adj[u].add(v)
-        adj[v].add(u)
-    (a, b), (c, d) = endpoints[e], endpoints[f]
-    order = [a, b] + [v for v in range(n) if v != a and v != b]
-    stack = [()]  # partial maps: the images of order[:k]
-    while stack:
-        images = stack.pop()
-        k = len(images)
-        if k == len(order):
-            return True
-        v = order[k]
-        stack += [
-            images + (t,)
-            for t in ((c, d) if k < 2 else order)
-            if t not in images
-            and len(adj[t]) == len(adj[v])
-            and all((x in adj[v]) == (y in adj[t]) for x, y in zip(order, images))
-        ]
-    return False
-
-
-def _first_edge_tasks(n: int, endpoints):
-    """The exhaustive tasks, one per edge j of weight 1, for edge 0 and
-    every edge no automorphism carries onto edge 0; with no edges, one
-    task of the empty order."""
-    q = len(endpoints)
-    unlocks = ((),) * q
-    return [
-        (n, endpoints, (j,), tuple(range(j)) + tuple(range(j + 1, q)), unlocks)
-        for j in range(q)
-        if j == 0 or not _maps_onto(n, endpoints, j, 0)
-    ] or [(n, endpoints, (), (), unlocks)]
-
-
 def _reduce_task(n: int, endpoints):
     """The one exhaustive task of K_n, n >= 3: edge (v1,v2) first, then the
     unlock table that admits exactly the canonical orders."""
@@ -428,8 +387,9 @@ def min_over_weightings(
         canonical = structure.is_complete and structure.n >= 3
         if canonical and reduce_symmetry:
             reduction_factor = math.factorial(structure.n)
-        tasks = [_reduce_task(m, endpoints)] if canonical else _first_edge_tasks(m, endpoints)
-        best, best_w = min(map(_search, tasks))  # lazy: min keeps only the best result so far
+        best, best_w = _search(
+            _reduce_task(m, endpoints) if canonical else (m, endpoints, (), tuple(range(q)), ((),) * q)
+        )
 
     return ExtremalReport(
         structure=structure,

@@ -37,16 +37,14 @@ from monotrails.labeling import _fold
 from strategies import strict_graphs
 
 
-# No automorphism moves its diagonal (v1,v2), so each of its 5 edges keeps a
-# first-edge task.
 K4_MINUS_AN_EDGE = Structure(n=4, edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
 C4 = Structure(n=4, edges=((0, 1), (0, 3), (1, 2), (2, 3)))
 C5 = Structure(n=5, edges=((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)))
 K13 = Structure(n=4, edges=((0, 1), (0, 2), (0, 3)))
 K23 = Structure(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)))
+K24 = Structure(n=6, edges=tuple((a, b) for a in (0, 1) for b in range(2, 6)))
+C8 = Structure(n=8, edges=((0, 1), (0, 7), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)))
 PAW = Structure(n=4, edges=((0, 1), (0, 2), (1, 2), (2, 3)))  # a triangle with a pendant edge
-TWO_TRIANGLES = Structure(n=6, edges=((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
-P4 = Structure(n=4, edges=((0, 1), (1, 2), (2, 3)))
 
 
 def oracle_min_over_weightings(n: int) -> tuple[int, tuple[int, ...]]:
@@ -93,6 +91,12 @@ def branch(task, edges):
         i = avail.index(j)
         start, avail = start + (j,), avail[:i] + avail[i + 1 :] + unlocks[j]
     return (n, endpoints, start, avail, unlocks)
+
+
+def plain_task(s: Structure):
+    """The one exhaustive task of a structure other than K_n, n >= 3: every
+    edge available from the empty prefix, no unlocks."""
+    return (s.n, s.edges, (), tuple(range(s.q)), ((),) * s.q)
 
 
 K5_TASK = extremal._reduce_task(5, complete_structure(5).edges)
@@ -196,25 +200,9 @@ class TestMinOverWeightingsExhaustive:
                 serial.examined,
             )
 
-    def test_task_results_are_merged_as_they_arrive(self, monkeypatch):
-        alive = [0]
-        most = [0]
-        tasks = []
-
-        class Witness(tuple):
-            def __del__(self):
-                alive[0] -= 1
-
-        def stub_search(task):
-            tasks.append(task)
-            alive[0] += 1
-            most[0] = max(most[0], alive[0])
-            return 3, Witness(task[2])
-
-        monkeypatch.setattr(extremal, "_search", stub_search)
-        report = min_over_weightings(K4_MINUS_AN_EDGE)
-        assert report.examined == math.factorial(5) and len(tasks) == 5
-        assert most[0] <= 3  # the best so far, the last and the newest: not one per task
+    def test_k5_exhaustive_starts_no_pool(self):
+        report = min_over_weightings(complete_structure(5), jobs=2)
+        assert (report.minimum, report.examined) == (5, math.factorial(10))
 
 
 @st.composite
@@ -255,12 +243,15 @@ class TestPruningAgainstTheOrderStream:
     @example(Structure(n=5, edges=((0, 3), (0, 4), (1, 3), (2, 3), (2, 4))))
     # A state recorded as refuted after a _beaten skip below it would change this one's witness.
     @example(Structure(n=5, edges=((0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4))))
-    # Edge-transitive structures run one task; the paw runs several.
+    # In an edge-transitive structure the one task refutes each lower cap from
+    # every first edge; the paw is not edge-transitive.
     @example(C4)
     @example(C5)
     @example(K13)
     @example(K23)
     @example(PAW)
+    @example(K24)
+    @example(C8)
     def test_exhaustive_search_equals_scanning_every_order(self, s):
         scanned = extremal._scan(s.n, s.edges, permutations(range(s.q)))
         report = min_over_weightings(s)
@@ -288,8 +279,12 @@ class TestPruningAgainstTheOrderStream:
     # K4 with a pendant edge, and two more edges apart: with the pendant edge
     # first, every order ends at 4, two above the bound of 2 at the root.
     @example(Structure(n=9, edges=((0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (5, 6), (7, 8))))
-    def test_each_first_edge_task_decides_the_orders_it_admits(self, s):
-        for t in extremal._first_edge_tasks(s.n, s.edges):
+    def test_each_first_edge_branch_decides_the_orders_it_admits(self, s):
+        # Each first edge's branch of the plain task on its own: a state
+        # wrongly skipped in one branch cannot hide behind another first
+        # edge's minimum or witness.
+        for j in range(s.q):
+            t = branch(plain_task(s), (j,))
             assert extremal._search(t) == extremal._scan(s.n, s.edges, admitted_orders(*t[2:]))
 
     @settings(max_examples=60, deadline=None)
@@ -302,8 +297,9 @@ class TestPruningAgainstTheOrderStream:
         assert extremal._search(t) == extremal._scan(5, t[1], admitted_orders(*t[2:]))
 
     def test_every_structure_on_five_vertices_with_at_most_six_edges(self):
-        # 848 structures, each task on its own too: a state wrongly skipped in
-        # one task cannot hide behind another task's minimum or witness.
+        # 848 structures, each first edge's branch on its own too: a state
+        # wrongly skipped in one branch cannot hide behind another branch's
+        # minimum or witness.
         count = 0
         for q in range(7):
             for edges in combinations(combinations(range(5), 2), q):
@@ -312,70 +308,11 @@ class TestPruningAgainstTheOrderStream:
                 assert (report.minimum, report.witness) == extremal._scan(
                     5, edges, permutations(range(q))
                 ), edges
-                for t in extremal._first_edge_tasks(5, edges):
+                for j in range(q):
+                    t = branch(plain_task(s), (j,))
                     assert extremal._search(t) == extremal._scan(5, edges, admitted_orders(*t[2:]))
                 count += 1
         assert count == 848
-
-
-def carried_edge_pairs(s: Structure) -> set[tuple[int, int]]:
-    """Every (e, f) such that some vertex permutation maps the edge set onto
-    itself and edge e onto edge f, tried over all n! permutations."""
-    index = {k: i for i, k in enumerate(s.edges)}
-    pairs = set()
-    for sigma in permutations(range(s.n)):
-        image = [index.get(tuple(sorted((sigma[a], sigma[b])))) for a, b in s.edges]
-        if None not in image:
-            pairs.update(enumerate(image))
-    return pairs
-
-
-def kept_first_edges(s: Structure) -> list[int]:
-    return [task[2][0] for task in extremal._first_edge_tasks(s.n, s.edges)]
-
-
-class TestFirstEdgeOrbit:
-    """Exhaustive runs keep edge 0's task and the tasks of the edges no
-    automorphism carries onto edge 0."""
-
-    @pytest.mark.parametrize(
-        "s",
-        [complete_structure(3), complete_structure(4), complete_structure(5),
-         C4, C5, K13, K23, TWO_TRIANGLES],
-        ids=["K3", "K4", "K5", "C4", "C5", "K13", "K23", "two-triangles"],
-    )
-    def test_an_edge_transitive_structure_runs_one_task(self, s):
-        assert all(extremal._maps_onto(s.n, s.edges, j, 0) for j in range(s.q))
-        assert kept_first_edges(s) == [0]
-
-    def test_a_path_drops_the_end_edge_its_reversal_carries_onto_edge_0(self):
-        assert kept_first_edges(P4) == [0, 1]
-
-    @pytest.mark.parametrize("s", [PAW, K4_MINUS_AN_EDGE], ids=["paw", "K4-e"])
-    def test_a_structure_with_several_edge_orbits_keeps_several_tasks(self, s):
-        assert len(kept_first_edges(s)) > 1
-
-    def test_isolated_vertices_change_nothing(self):
-        for s in (P4, PAW, C4, K4_MINUS_AN_EDGE):
-            padded = Structure(n=s.n + 3, edges=s.edges)
-            assert kept_first_edges(padded) == kept_first_edges(s)
-            shifted = Structure(n=s.n + 2, edges=tuple((a + 2, b + 2) for a, b in s.edges))
-            assert kept_first_edges(shifted) == kept_first_edges(s)
-
-    @settings(max_examples=100, deadline=None)
-    @given(small_structures(max_n=5, max_q=10))
-    # Edges (0,2) and (2,3) both join a vertex of degree 2 to one of degree 3,
-    # but only (2,3) is a bridge: degrees alone would carry one onto the other.
-    @example(Structure(n=5, edges=((0, 1), (0, 2), (1, 2), (2, 3), (3, 4))))
-    def test_maps_onto_agrees_with_trying_every_permutation(self, s):
-        carried = carried_edge_pairs(s)
-        for e in range(s.q):
-            for f in range(s.q):
-                assert extremal._maps_onto(s.n, s.edges, e, f) == ((e, f) in carried)
-
-    def test_k5_exhaustive_starts_no_pool(self):
-        report = min_over_weightings(complete_structure(5), jobs=2)
-        assert (report.minimum, report.examined) == (5, math.factorial(10))
 
 
 class TestSymmetryReduction:
@@ -446,21 +383,26 @@ class TestSymmetryReduction:
             assert canonical(n, min(orbit(n, rng.sample(range(1, q + 1), q))))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_a_plain_search_finds_what_the_first_edge_tasks_find(self, n):
+    def test_a_plain_search_finds_what_the_all_edge_task_finds(self, n):
         s = complete_structure(n)
         report = min_over_weightings(s)
-        tasks = extremal._first_edge_tasks(n, s.edges)
-        assert (report.minimum, report.witness) == min(map(extremal._search, tasks))
+        assert (report.minimum, report.witness) == extremal._search(plain_task(s))
         assert (report.examined, report.reduction_factor) == (math.factorial(s.q), 1)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_a_plain_search_runs_the_canonical_task_alone(self, monkeypatch, n):
-        def refuse(*args):
-            raise AssertionError("the first-edge tasks were run")
+        tasks = []
+        search = extremal._search
 
-        monkeypatch.setattr(extremal, "_first_edge_tasks", refuse)
+        def spy(task):
+            tasks.append(task)
+            return search(task)
+
+        monkeypatch.setattr(extremal, "_search", spy)
         plain = min_over_weightings(complete_structure(n), jobs=2)
         reduced = min_over_weightings(complete_structure(n), reduce_symmetry=True, jobs=2)
+        canonical_task = extremal._reduce_task(n, complete_structure(n).edges)
+        assert tasks == [canonical_task, canonical_task]
         assert (plain.minimum, plain.witness) == (reduced.minimum, reduced.witness)
         assert plain.examined == reduced.examined * reduced.reduction_factor
 

@@ -45,6 +45,8 @@ K23 = Structure(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)))
 K24 = Structure(n=6, edges=tuple((a, b) for a in (0, 1) for b in range(2, 6)))
 C8 = Structure(n=8, edges=((0, 1), (0, 7), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)))
 PAW = Structure(n=4, edges=((0, 1), (0, 2), (1, 2), (2, 3)))  # a triangle with a pendant edge
+TWO_TRIANGLES = Structure(n=6, edges=((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+P4 = Structure(n=4, edges=((0, 1), (1, 2), (2, 3)))
 
 
 def oracle_min_over_weightings(n: int) -> tuple[int, tuple[int, ...]]:
@@ -313,6 +315,67 @@ class TestPruningAgainstTheOrderStream:
                     assert extremal._search(t) == extremal._scan(5, edges, admitted_orders(*t[2:]))
                 count += 1
         assert count == 848
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The tasks min_over_weightings hands to _search, in turn."""
+    tasks = []
+    search = extremal._search
+
+    def spy(task):
+        tasks.append(task)
+        return search(task)
+
+    monkeypatch.setattr(extremal, "_search", spy)
+    return tasks
+
+
+EDGE_TRANSITIVE = [C4, C5, K13, K23, K24, TWO_TRIANGLES]
+EDGE_TRANSITIVE_IDS = ["C4", "C5", "K13", "K23", "K24", "two-triangles"]
+
+
+class TestOneTask:
+    """An exhaustive search of a structure other than K_n, n >= 3, is one
+    task from the empty prefix: every first edge is a branch of it, and the
+    branches share one cap ladder and one table of refuted states."""
+
+    @pytest.mark.parametrize(
+        "s",
+        [complete_structure(2), *EDGE_TRANSITIVE, C8, P4, PAW, K4_MINUS_AN_EDGE],
+        ids=["K2", *EDGE_TRANSITIVE_IDS, "C8", "P4", "paw", "K4-e"],
+    )
+    def test_a_structure_other_than_k_n_runs_the_plain_task_alone(self, searched, s):
+        report = min_over_weightings(s)
+        assert searched == [plain_task(s)]
+        assert (report.minimum, report.witness) == extremal._scan(s.n, s.edges, permutations(range(s.q)))
+
+    def test_reduce_runs_the_same_plain_task_off_k_n(self, searched):
+        plain = min_over_weightings(PAW)
+        reduced = min_over_weightings(PAW, reduce_symmetry=True)
+        assert searched == [plain_task(PAW)] * 2
+        assert plain[2:6] == reduced[2:6]  # examined, minimum, witness, reduction factor
+        assert reduced.reduction_factor == 1
+
+    def test_isolated_vertices_change_nothing(self, searched):
+        for s in (P4, PAW, C4, K4_MINUS_AN_EDGE):
+            expected = min_over_weightings(s)
+            padded = Structure(n=s.n + 3, edges=s.edges)
+            shifted = Structure(n=s.n + 2, edges=tuple((a + 2, b + 2) for a, b in s.edges))
+            for t in (padded, shifted):
+                searched.clear()
+                report = min_over_weightings(t)
+                assert searched == [plain_task(s)]  # the isolated vertices are dropped
+                assert report[2:6] == expected[2:6]
+
+    @pytest.mark.parametrize("s", EDGE_TRANSITIVE, ids=EDGE_TRANSITIVE_IDS)
+    def test_every_first_edge_of_an_edge_transitive_structure_reaches_the_minimum(self, s):
+        # An automorphism carries any first edge onto edge 0, so each branch
+        # has the same minimum, and edge 0's branch holds the witness.
+        report = min_over_weightings(s)
+        results = [extremal._search(branch(plain_task(s), (j,))) for j in range(s.q)]
+        assert {value for value, _ in results} == {report.minimum}
+        assert results[0] == (report.minimum, report.witness)
 
 
 class TestSymmetryReduction:

@@ -10,35 +10,35 @@ which the search visits the weightings.
 
 The search folds processing orders, the inverses of weight vectors, since
 the label update takes edges in ascending weight order.  Exhaustive runs
-go depth-first through _search: a task folds a start prefix once, then
-places one available edge per level, changing only the two labels it
-touches and restoring them on the way back, so orders share the fold of
-their common prefix.  Placing an edge makes the edges its unlock table
-entry lists available.  K_n with n >= 3 is one task whose unlock table
-admits only the canonical orders (below), whether or not reduce_symmetry
-is set.  Any other structure is one task from the empty prefix with every
-edge available and no unlocks, so its first edges share one cap ladder
-and one refuted-state table.  Edge 0 comes first, and once its subtree
-holds an order within the cap, which has weight 1 on edge 0, _beaten cuts
-every other first edge at depth 1.  The search runs in the calling
-process: under the guard the slowest search measured took about 30 ms,
-which worker processes did not shorten.  Sampled mode draws its orders
-from one seeded stream: _scan folds each order, drawn just before, from
-zero labels, and leaves it once a label passes the best value.  The m
-vertices with edges are renumbered 0..m-1 in ascending order first, which
-keeps the edge order and every witness, so isolated vertices cost
-nothing.
+go depth-first through _search: a task is its available edges and an
+unlock table, and the search places one available edge per level,
+changing only the two labels it touches and restoring them on the way
+back, so orders share the fold of their common prefix.  Placing an edge
+makes the edges its unlock table entry lists available.  K_n with n >= 3
+is one task, edge 0 alone available, whose unlock table admits only the
+canonical orders (below), whether or not reduce_symmetry is set.  Any
+other structure is one task with every edge available and no unlocks, so
+its first edges share one cap ladder and one refuted-state table.  Edge 0
+comes first, and once its subtree holds an order within the cap, which
+has weight 1 on edge 0, _beaten cuts every other first edge at depth 1.
+The search runs in the calling process: under the guard the slowest
+search measured took about 30 ms, which worker processes did not shorten.
+Sampled mode, _scan's only caller, draws its orders from one seeded
+stream: _scan folds each order, drawn just before, from zero labels, and
+leaves it once a label passes the best value.  The m vertices with edges
+are renumbered 0..m-1 in ascending order first, which keeps the edge
+order and every witness, so isolated vertices cost nothing.
 
-_search raises a value cap by one from the task's lower bound, the
-larger of its top label and ceil((label sum + 2 * edges left) / m).  One
-pass per cap skips every prefix whose bound passes the cap, and every
-(placed set, labels) state its table holds as refuted at that cap; the
-table is emptied when the cap rises.  The first cap that holds an order
-is the minimum, since every lower one was refuted, and that pass keeps its
-lex-min order as the witness.  The engines return only the value and its
-witness; the report's `examined` is the size of the space the run covers
-(q!, q!/n! reduced, or the sample count), set once by
-min_over_weightings.
+_search raises a value cap by one from ceil(2q / m), the empty prefix's
+bound; a prefix's bound is the larger of its top label and ceil((label
+sum + 2 * edges left) / m).  One pass per cap skips every prefix whose
+bound passes the cap, and every (placed set, labels) state its table
+holds as refuted at that cap; the table is emptied when the cap rises.
+The first cap that holds an order is the minimum, since every lower one
+was refuted, and that pass keeps its lex-min order as the witness.  The
+engines return only the value and its witness; the report's `examined`
+is the size of the space the run covers (q!, q!/n! reduced, or the
+sample count), set once by min_over_weightings.
 
 Symmetry reduction (complete graphs, n >= 3): relabeling vertices never
 changes trail lengths, and no nontrivial relabeling fixes a
@@ -52,7 +52,8 @@ smaller one, and sorting the remaining vertices by their weight to v1:
 
 The canonical orders are exactly those that respect one unlock table: hub
 (v1,x) unlocks (v1,x+1), and (v1,v3) also unlocks every rival (v2,x).
-One task, edge (v1,v2) first, yields q!/n! orders in all, none filtered.
+One task, (v1,v2) alone available and unlocking (v1,v3) and every edge
+that meets neither v1 nor v2, yields q!/n! orders in all, none filtered.
 Each weighting has its orbit minimum's value, and the lex-min witness
 over all q! weightings is the minimum of its own orbit, so this task
 finds the minimum and witness of the whole space.  reduce_symmetry
@@ -74,10 +75,10 @@ from typing import NamedTuple
 
 from .errors import InvalidStructureError, MonotrailsError
 from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
-from .labeling import _fold, check_lower_bound  # check_lower_bound: re-exported, see above
+from .labeling import check_lower_bound  # check_lower_bound: re-exported, see above
 
 # 10! = 3,628,800 weightings.  K5's 10!/5! = 30,240 canonical orders take two
-# caps, 4 refuted and 5 held, whose passes reach the last edge 313 times.
+# caps, 4 refuted and 5 held, whose passes reach the last edge 170 times.
 EXHAUSTIVE_MAX_EDGES = 10
 # A sampled search holds about 280 bytes per edge: one-sample K_1414 and K_1549
 # searches peaked at 283 and 336 MB under a 1 GiB RLIMIT_AS, so this guard
@@ -163,21 +164,23 @@ class ExtremalReport(NamedTuple):
 
 
 def _search(task) -> tuple[int, tuple[int, ...]]:
-    """Evaluate one task (n, endpoints, start, avail, unlocks) depth-first:
-    the edges in `start` take the weights 1..len(start), then every order
-    of the rest that places only available edges is decided; placing edge j
-    makes unlocks[j] available.  Returns (min value, lex-min weight vector
-    achieving it).
+    """Evaluate one task (n, endpoints, avail, unlocks) depth-first: every
+    order that places only available edges is decided, where placing edge
+    j makes unlocks[j] available.  A fixed prefix is a chain of unlocks:
+    its first edge alone in `avail`, each prefix edge unlocking the next,
+    and the last what is then available.
+    Returns (min value, lex-min weight vector achieving it), (0, ()) when
+    there are no edges.
 
     Each edge still to come raises the label sum by at least 2, so a
     prefix with `left` edges to come ends at a value of at least max(top
     label, ceil((label sum + 2*left) / n)).  A cap rises by one from the
-    root's bound.  One depth-first pass per cap skips a placement that
-    lifts a label above the cap or label sum + 2*left above cap*n, and,
-    once it holds a witness, a prefix no completion of which is
-    lexicographically smaller (_beaten).  Every lower cap was refuted, so
-    the first cap that holds an order is the minimum, and its pass's least
-    order the witness.
+    root's bound, ceil(2q / n).  One depth-first pass per cap skips a
+    placement that lifts a label above the cap or label sum + 2*left above
+    cap*n, and, once it holds a witness, a prefix no completion of which
+    is lexicographically smaller (_beaten).  Every lower cap was refuted,
+    so the first cap that holds an order is the minimum, and its pass's
+    least order the witness.
 
     The orders that complete a state, the placed set with the labels,
     depend on the placed set alone: an edge is available once it is in
@@ -187,22 +190,19 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
     pass skips it when met again.  It is recorded only when no _beaten
     skip fell in its subtree, since such a skip may hide one; the table is
     emptied when the cap rises."""
-    n, endpoints, start, avail, unlocks = task
+    n, endpoints, avail, unlocks = task
     q = len(endpoints)
-    if len(start) >= q - 1:  # at most one edge left: one order
-        return _scan(n, endpoints, [start + avail])
-    labels = _fold(n, [endpoints[j] for j in start])[0]
+    if not q:
+        return 0, ()
+    labels = [0] * n
     w = [0] * q  # weight buffer: 0 marks an unplaced edge, so a level resets its edge on the way up
-    for rank, j in enumerate(start, 1):
-        w[j] = rank
     refuted = set()  # the (placed mask, *labels) states with no order within the cap
     best_w = None
 
     def place(avail, rank, total, placed):
-        """Place each available edge at `rank`; two or more edges are left,
-        and no label is above the cap.  total is the labels' sum.  Returns
-        whether the subtree holds no order within the cap and no _beaten
-        skip."""
+        """Place each available edge at `rank`; no label is above the cap,
+        and total is the labels' sum.  Returns whether the subtree holds no
+        order within the cap and no _beaten skip."""
         nonlocal best_w
         refutes = True
         left = q - rank
@@ -220,35 +220,27 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
                 s = total + 2
             if t <= cap and s + 2 * left <= room:
                 w[j] = rank
-                if left > 1:
-                    if best_w is not None and _beaten(w, best_w, rank):
-                        refutes = False
-                    else:
-                        key = (placed | 1 << j, *labels)
-                        if key not in refuted:
-                            if place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, s, key[0]):
-                                refuted.add(key)
-                            else:
-                                refutes = False
-                else:  # fold the last edge in place
-                    k = (avail[:i] + avail[i + 1 :] + unlocks[j])[0]
-                    a, b = endpoints[k]
-                    if labels[a] < cap and labels[b] < cap:  # its new label is one above the larger
-                        refutes = False
-                        w[k] = q
-                        wt = tuple(w)
-                        w[k] = 0
-                        if best_w is None or wt < best_w:
-                            best_w = wt
+                if not left:  # an order within the cap
+                    refutes = False
+                    wt = tuple(w)
+                    if best_w is None or wt < best_w:
+                        best_w = wt
+                elif best_w is not None and _beaten(w, best_w, rank):
+                    refutes = False
+                else:
+                    key = (placed | 1 << j, *labels)
+                    if key not in refuted:
+                        if place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, s, key[0]):
+                            refuted.add(key)
+                        else:
+                            refutes = False
                 w[j] = 0
             labels[u], labels[v] = lu, lv
         return refutes
 
-    total = sum(labels)
-    root = max(max(labels), -(-(total + 2 * (q - len(start))) // n))
-    for cap in range(root, q + 1):  # no order ends above q, so some cap holds one
+    for cap in range(-(-2 * q // n), q + 1):  # no order ends above q, so some cap holds one
         room = cap * n
-        place(avail, len(start) + 1, total, sum(1 << j for j in start))
+        place(avail, 1, 0, 0)
         if best_w is not None:
             break
         refuted.clear()
@@ -267,10 +259,10 @@ def _beaten(w, best_w, rank) -> bool:
 
 
 def _scan(n: int, endpoints, orders) -> tuple[int, tuple[int, ...]]:
-    """Fold each order, an iterable read once, from zero labels, leaving it
-    as soon as a label passes the best value so far, since it can then
-    neither win nor tie.  Returns what _search returns; orders must not be
-    empty."""
+    """Fold each sampled order, an iterable read once, from zero labels,
+    leaving it as soon as a label passes the best value so far, since it
+    can then neither win nor tie.  Returns what _search returns; orders
+    must not be empty.  Sampled mode is the only caller."""
     w = [0] * len(endpoints)
     best = len(endpoints) + 1
     best_w: tuple[int, ...] | None = None
@@ -304,14 +296,16 @@ def _scan(n: int, endpoints, orders) -> tuple[int, tuple[int, ...]]:
 
 
 def _reduce_task(n: int, endpoints):
-    """The one exhaustive task of K_n, n >= 3: edge (v1,v2) first, then the
-    unlock table that admits exactly the canonical orders."""
+    """The one exhaustive task of K_n, n >= 3: edge (v1,v2) alone available,
+    and the unlock table that admits exactly the canonical orders, (v1,v2)
+    unlocking (v1,v3) and every edge that meets neither v1 nor v2."""
     q = len(endpoints)
     unlocks = [()] * q
+    unlocks[0] = (1, *range(2 * n - 3, q))
     for h in range(1, n - 2):  # hub (v1,v(h+2)) is edge h
         unlocks[h] = (h + 1,)
     unlocks[1] += tuple(range(n - 1, 2 * n - 3))  # the rivals (v2,x)
-    return (n, endpoints, (0,), (1, *range(2 * n - 3, q)), unlocks)
+    return (n, endpoints, (0,), unlocks)
 
 
 def _sampled_orders(q: int, mode: Sampled):
@@ -388,7 +382,7 @@ def min_over_weightings(
         if canonical and reduce_symmetry:
             reduction_factor = math.factorial(structure.n)
         best, best_w = _search(
-            _reduce_task(m, endpoints) if canonical else (m, endpoints, (), tuple(range(q)), ((),) * q)
+            _reduce_task(m, endpoints) if canonical else (m, endpoints, tuple(range(q)), ((),) * q)
         )
 
     return ExtremalReport(

@@ -19,6 +19,7 @@ run_labeling_sorted, longest_ordered_trail, label_state_at, get_label and
 final_label_lengths share one private fold, _fold, over ranked_edges: a
 copy of the graph's kept order, its rank order when its weights are 1..q,
 else its one sort; find_edge_by_rank indexes that order with no copy.
+No module outside labeling calls _fold.
 The extremal search, which folds millions of orders, writes out
 labels-only copies of the update: per level of its depth-first walk in
 extremal._search, and per sampled order in extremal._scan.  _fold keeps

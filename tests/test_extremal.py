@@ -10,6 +10,7 @@ import gc
 import math
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from monotrails import (
     longest_ordered_trail,
     min_over_weightings,
     new_graph,
+    parse_edge_list,
     random_graph,
     structure_of,
 )
@@ -75,30 +77,36 @@ def canonical(n: int, w) -> bool:
     return hub[0] < min(rivals)
 
 
-def admitted_orders(start, avail, unlocks):
-    """Every order a search task (start, avail, unlocks) admits, by a plain
-    walk: any available edge may come next, and placing edge j makes the
-    edges in unlocks[j] available."""
+def admitted_orders(avail, unlocks, prefix=()):
+    """Every order a search task's (avail, unlocks) admits, by a plain walk:
+    any available edge may come next, and placing edge j makes the edges in
+    unlocks[j] available."""
     if not avail:
-        yield start
+        yield prefix
     for i, j in enumerate(avail):
         rest = tuple(avail[:i]) + tuple(avail[i + 1 :]) + tuple(unlocks[j])
-        yield from admitted_orders(start + (j,), rest, unlocks)
+        yield from admitted_orders(rest, unlocks, prefix + (j,))
 
 
 def branch(task, edges):
-    """The task after placing `edges` in turn, each available when placed."""
-    n, endpoints, start, avail, unlocks = task
+    """The task whose orders are the task's that begin with `edges`, each
+    available when placed: an unlock chain in which each of `edges` unlocks
+    the next, and the last what is then available."""
+    n, endpoints, avail, unlocks = task
     for j in edges:
         i = avail.index(j)
-        start, avail = start + (j,), avail[:i] + avail[i + 1 :] + unlocks[j]
-    return (n, endpoints, start, avail, unlocks)
+        avail = avail[:i] + avail[i + 1 :] + unlocks[j]
+    chain = list(unlocks)
+    for j, following in zip(edges, edges[1:]):
+        chain[j] = (following,)
+    chain[edges[-1]] = avail
+    return (n, endpoints, (edges[0],), chain)
 
 
 def plain_task(s: Structure):
     """The one exhaustive task of a structure other than K_n, n >= 3: every
-    edge available from the empty prefix, no unlocks."""
-    return (s.n, s.edges, (), tuple(range(s.q)), ((),) * s.q)
+    edge available, no unlocks."""
+    return (s.n, s.edges, tuple(range(s.q)), ((),) * s.q)
 
 
 K5_TASK = extremal._reduce_task(5, complete_structure(5).edges)
@@ -106,20 +114,23 @@ K5_TASK = extremal._reduce_task(5, complete_structure(5).edges)
 
 @st.composite
 def k5_prefixes(draw):
-    """Edges the K5 task may place after its start, in turn, leaving at
-    least two to come."""
+    """One to all ten edges the K5 task may place in turn, (v1,v2), its
+    one available edge, first."""
+    _, _, avail, unlocks = K5_TASK
     prefix = ()
-    for _ in range(draw(st.integers(0, 10 - len(K5_TASK[2]) - 2))):
-        prefix += (draw(st.sampled_from(branch(K5_TASK, prefix)[3])),)
+    for _ in range(draw(st.integers(1, 10))):
+        j = draw(st.sampled_from(avail))
+        i = avail.index(j)
+        prefix, avail = prefix + (j,), avail[:i] + avail[i + 1 :] + unlocks[j]
     return prefix
 
 
 def generated_weightings(n: int) -> list[tuple[int, ...]]:
     """Every order the reduced search folds for K_n, as a weight vector."""
     q = n * (n - 1) // 2
-    _, _, start, avail, unlocks = extremal._reduce_task(n, complete_structure(n).edges)
+    _, _, avail, unlocks = extremal._reduce_task(n, complete_structure(n).edges)
     out = []
-    for order in admitted_orders(start, avail, unlocks):
+    for order in admitted_orders(avail, unlocks):
         w = [0] * q
         for weight, j in enumerate(order, 1):
             w[j] = weight
@@ -265,13 +276,8 @@ class TestPruningAgainstTheOrderStream:
         # The one task, and each of its second-edge branches on its own: a
         # prefix wrongly skipped in one branch cannot hide behind another
         # branch's minimum or witness.
-        task = _, endpoints, start, avail, unlocks = extremal._reduce_task(
-            n, complete_structure(n).edges
-        )
-        branches = [
-            (n, endpoints, start + (j,), avail[:i] + avail[i + 1 :] + unlocks[j], unlocks)
-            for i, j in enumerate(avail)
-        ]
+        task = _, endpoints, _, unlocks = extremal._reduce_task(n, complete_structure(n).edges)
+        branches = [branch(task, (0, j)) for j in unlocks[0]]
         for t in [task, *branches]:
             orders = admitted_orders(*t[2:])
             assert extremal._search(t) == extremal._scan(n, endpoints, orders)
@@ -293,7 +299,7 @@ class TestPruningAgainstTheOrderStream:
     @given(k5_prefixes())
     # After (v1,v2), placing (v1,v3), (v3,v5), (v4,v5), (v2,v4) leaves labels
     # whose bound is 5, yet every order ends at 7: its search refutes two caps.
-    @example((1, 8, 9, 5))
+    @example((0, 1, 8, 9, 5))
     def test_each_branch_of_the_k5_task_decides_the_orders_it_admits(self, prefix):
         t = branch(K5_TASK, prefix)
         assert extremal._search(t) == extremal._scan(5, t[1], admitted_orders(*t[2:]))
@@ -583,6 +589,40 @@ class TestSampled:
         extremal.check_search(extremal.SAMPLED_MAX_EDGES, sampled, 1)
         with pytest.raises(MonotrailsError, match="exceeds the sampled guard of 1200000"):
             extremal.check_search(extremal.SAMPLED_MAX_EDGES + 1, sampled, 1)
+
+
+R6 = structure_of(
+    parse_edge_list((Path(__file__).parent / "fixtures" / "extremal.r6_9_seed1.txt").read_text())
+)
+
+
+@pytest.mark.parametrize("reduce_symmetry", [False, True], ids=["plain", "reduce"])
+@pytest.mark.parametrize(
+    "s",
+    [*(complete_structure(n) for n in range(1, 6)), Structure(4, ()), Structure(3, ((0, 2),)), R6],
+    ids=["K1", "K2", "K3", "K4", "K5", "edgeless", "one-edge", "r6"],
+)
+def test_no_exhaustive_search_calls_scan(monkeypatch, s, reduce_symmetry):
+    # _search decides every structure itself, down to no edges at all.
+    def scan(*args):
+        raise AssertionError("an exhaustive search called _scan")
+
+    monkeypatch.setattr(extremal, "_scan", scan)
+    report = min_over_weightings(s, reduce_symmetry=reduce_symmetry)
+    assert len(report.witness) == s.q
+
+
+def test_a_sampled_search_calls_scan(monkeypatch):
+    calls = []
+    scan = extremal._scan
+
+    def spy(*args):
+        calls.append(args[0])
+        return scan(*args)
+
+    monkeypatch.setattr(extremal, "_scan", spy)
+    min_over_weightings(complete_structure(4), mode=Sampled(count=10, seed=0))
+    assert calls == [4]
 
 
 def test_exhaustive_search_leaves_no_cyclic_garbage():

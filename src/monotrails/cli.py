@@ -118,6 +118,12 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _bounds(report):
+    """The report's two floor-form bounds, each as (name, value, holds)."""
+    yield "2*floor(q/n)", report.bound_two_floor_q_over_n, report.holds_a
+    yield "floor(2q/n)", report.bound_floor_two_q_over_n, report.holds_b
+
+
 def _cmd_compute(args) -> int:
     g = parse_edge_list(_read(args.file))
     kind = Order.DECREASING if args.order == "dec" else Order.INCREASING
@@ -133,10 +139,7 @@ def _cmd_compute(args) -> int:
         print(f"trail: {_trail_text(g, report.witness, report.start)}")
     if args.labels:
         print(f"labels: {_labels_text(report.labels)}")
-    for name, value, holds in (
-        ("2*floor(q/n)", report.bound_two_floor_q_over_n, report.holds_a),
-        ("floor(2q/n)", report.bound_floor_two_q_over_n, report.holds_b),
-    ):
+    for name, value, holds in _bounds(report):
         print(f"bound {name} = {value}: {'satisfied' if holds else 'FAIL'}")
     return 0 if ok else 1
 
@@ -214,14 +217,8 @@ def _cmd_check(args) -> int:
         )
     else:
         print(f"n={g.n} q={g.q} p_d={bc.p_d}")
-        print(
-            f"bound 2*floor(q/n) = {bc.bound_two_floor_q_over_n}: "
-            f"{'pass' if bc.holds_a else 'FAIL'}"
-        )
-        print(
-            f"bound floor(2q/n) = {bc.bound_floor_two_q_over_n}: "
-            f"{'pass' if bc.holds_b else 'FAIL'}"
-        )
+        for name, value, holds in _bounds(bc):
+            print(f"bound {name} = {value}: {'pass' if holds else 'FAIL'}")
         print(f"oracle agreement: {oracle_note}")
         print(f"result: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1

@@ -205,16 +205,14 @@ def validate(g: WeightedGraph) -> list[Violation]:
         if w <= 0:
             detail = f"edge ({a + 1},{b + 1}) has weight {_rational(w)}"
             out.append(Violation("non-positive-weight", detail))
-    weights = list(g.edges.values())
-    if len(set(weights)) != len(weights):
-        seen: set[Weight] = set()
-        for w in weights:
-            if w in seen:
-                detail = f"weight {_rational(w)} used more than once"
-                out.append(Violation("duplicate-weight", detail))
-            seen.add(w)
+    seen: set[Weight] = set()
+    for w in g.edges.values():
+        if w in seen:
+            detail = f"weight {_rational(w)} used more than once"
+            out.append(Violation("duplicate-weight", detail))
+        seen.add(w)
     if g.mode is Mode.STRICT and not out and g._rank_order is None:
-        detail = f"strict weights must be exactly 1..{g.q}, got {sorted(weights)}"
+        detail = f"strict weights must be exactly 1..{g.q}, got {sorted(g.edges.values())}"
         out.append(Violation("not-surjective", detail))
     return out
 

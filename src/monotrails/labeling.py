@@ -152,7 +152,9 @@ def get_label(g: WeightedGraph, i: int, v: int) -> int:
     lowest-weighted edges."""
     if not 0 <= v < g.n:
         raise RankOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
-    return label_state_at(g, i).labels[v]
+    if not 0 <= i <= g.q:
+        raise RankOutOfRangeError(f"step {i} outside 0..{g.q}")
+    return _fold(g.n, ranked_edges(g.checked())[:i])[0][v]
 
 
 def run_labeling_sorted(g: WeightedGraph) -> LabelState:

@@ -185,6 +185,25 @@ class TestGetLabel:
         with pytest.raises(RankOutOfRangeError):
             get_label(k4, 3, 9)
 
+    def test_the_vertex_is_checked_before_the_step(self, k4):
+        with pytest.raises(RankOutOfRangeError, match=r"^vertex 9 outside 0\.\.3$"):
+            get_label(k4, 7, 9)
+        with pytest.raises(RankOutOfRangeError, match=r"^step 7 outside 0\.\.6$"):
+            get_label(k4, 7, 3)
+
+    @settings(max_examples=60)
+    @given(any_graphs())
+    def test_reads_the_label_state_at_every_step(self, g):
+        for i in range(g.q + 1):
+            labels = label_state_at(g, i).labels
+            assert [get_label(g, i, v) for v in range(g.n)] == labels
+
+    def test_unrolls_no_witness(self, monkeypatch, k4):
+        expected = [label_state_at(k4, i).labels for i in range(k4.q + 1)]
+        monkeypatch.setattr(labeling, "_unroll", lambda cell: pytest.fail("unrolled a witness"))
+        got = [[get_label(k4, i, v) for v in range(k4.n)] for i in range(k4.q + 1)]
+        assert got == expected
+
 
 class TestFoldMatchesSteps:
     @settings(max_examples=60)

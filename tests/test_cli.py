@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, schemas, determinism."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -425,6 +426,24 @@ class TestExtremal:
         jsonschema.validate(doc, load_schema("extremal-report.schema.json"))
         assert doc["f"] == 3 and doc["examined"] == 6
         assert doc["elapsed_ms"] is None
+
+    @pytest.mark.parametrize("n, f, weightings", [(3, 3, 6), (4, 3, 720), (5, 5, 3628800)])
+    def test_readme_table_row(self, capsys, n, f, weightings):
+        # README's K3..K5 table: f(K_n) exceeds the generic n - 1 exactly at
+        # n = 3 and 5, and --reduce counts one weighting per orbit of the n!
+        # relabelings with the same f and witness.
+        argv = ("extremal", "--complete", str(n), "--exhaustive", "--json")
+        (code, out, _), (code_reduced, out_reduced, _) = (
+            run_cli(capsys, *argv), run_cli(capsys, *argv, "--reduce")
+        )
+        assert (code, code_reduced) == (0, 0)
+        plain, reduced = json.loads(out), json.loads(out_reduced)
+        assert (plain["f"], plain["examined"]) == (f, weightings)
+        assert (f > n - 1) == (n != 4)
+        factor = math.factorial(n)
+        assert reduced["reduction"] == {"enabled": True, "factor": factor}
+        assert reduced["examined"] * factor == weightings
+        assert (reduced["f"], reduced["witness"]) == (plain["f"], plain["witness"])
 
     def test_timing_flag_fills_elapsed(self, capsys):
         code, out, _ = run_cli(

@@ -22,7 +22,7 @@ its first edges share one cap ladder and one refuted-state table.  Edge 0
 comes first, and once its subtree holds an order within the cap, which
 has weight 1 on edge 0, _beaten cuts every other first edge at depth 1.
 The search runs in the calling process: under the guard the slowest
-search measured took about 30 ms, which worker processes did not shorten.
+search measured takes 4-7 ms, and worker processes made searches slower.
 Sampled mode, _scan's only caller, draws its orders from one seeded
 stream: _scan folds each order, drawn just before, from zero labels, and
 leaves it once a label passes the best value.  The m vertices with edges
@@ -30,10 +30,14 @@ are renumbered 0..m-1 in ascending order first, which keeps the edge
 order and every witness, so isolated vertices cost nothing.
 
 _search raises a value cap by one from ceil(2q / m), the empty prefix's
-bound; a prefix's bound is the larger of its top label and ceil((label
-sum + 2 * edges left) / m).  One pass per cap skips every prefix whose
-bound passes the cap, and every (placed set, labels) state its table
-holds as refuted at that cap; the table is emptied when the cap rises.
+bound, since each edge raises the label sum by at least 2.  One pass per
+cap skips every prefix that lifts a label above the cap, that leaves a
+vertex at the cap with an edge still to come, or whose room, cap - label
+over the vertices with an edge still to come, is below twice the edges
+left: a finished vertex keeps its label, so only that room can take the
+rises still to come.  It also skips every (placed set, labels) state its
+table holds as refuted at that cap; the table is emptied when the cap
+rises.
 The first cap that holds an order is the minimum, since every lower one
 was refuted, and that pass keeps its lex-min order as the witness.  The
 engines return only the value and its witness; the report's `examined`
@@ -78,7 +82,7 @@ from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import check_lower_bound  # check_lower_bound: re-exported, see above
 
 # 10! = 3,628,800 weightings.  K5's 10!/5! = 30,240 canonical orders take two
-# caps, 4 refuted and 5 held, whose passes reach the last edge 170 times.
+# caps, 4 refuted and 5 held, whose passes reach the last edge 70 times.
 EXHAUSTIVE_MAX_EDGES = 10
 # A sampled search holds about 280 bytes per edge: one-sample K_1414 and K_1549
 # searches peaked at 283 and 336 MB under a 1 GiB RLIMIT_AS, so this guard
@@ -172,75 +176,100 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
     Returns (min value, lex-min weight vector achieving it), (0, ()) when
     there are no edges.
 
-    Each edge still to come raises the label sum by at least 2, so a
-    prefix with `left` edges to come ends at a value of at least max(top
-    label, ceil((label sum + 2*left) / n)).  A cap rises by one from the
-    root's bound, ceil(2q / n).  One depth-first pass per cap skips a
-    placement that lifts a label above the cap or label sum + 2*left above
-    cap*n, and, once it holds a witness, a prefix no completion of which
-    is lexicographically smaller (_beaten).  Every lower cap was refuted,
-    so the first cap that holds an order is the minimum, and its pass's
-    least order the witness.
+    Each edge raises the label sum by at least 2, so a cap rises by one
+    from the root's bound, ceil(2q / n).  One depth-first pass per cap
+    skips a placement that
+    - lifts a label above the cap;
+    - lifts a vertex to the cap while it has an edge still to come, since
+      that edge will lift one of its ends above the cap;
+    - leaves less room than 2*left, with `left` edges to come, where the
+      room is cap - label summed over the vertices with an edge to come.
+      Each edge to come raises the labels of its two ends, both in that
+      set, by at least 2 in sum, and a vertex with no edge to come keeps
+      its label, so the room above it is lost;
+    and, once the pass holds a witness, a prefix no completion of which is
+    lexicographically smaller (_beaten).  Every lower cap was refuted, so
+    the first cap that holds an order is the minimum, and its pass's least
+    order the witness.
 
     The orders that complete a state, the placed set with the labels,
     depend on the placed set alone: an edge is available once it is in
     `avail` or the one edge whose unlock list holds it is placed (no edge
-    is in two lists), until it is placed itself.  So a state whose subtree
-    holds no order within the cap has none however it is reached, and the
-    pass skips it when met again.  It is recorded only when no _beaten
-    skip fell in its subtree, since such a skip may hide one; the table is
-    emptied when the cap rises."""
+    is in two lists), until it is placed itself.  The edges to come at a
+    vertex are the unplaced ones, so the skips above read the state alone
+    too.  So a state whose subtree holds no order within the cap has none
+    however it is reached, and the pass skips it when met again.  It is
+    recorded only when no _beaten skip fell in its subtree, since such a
+    skip may hide one; the table is emptied when the cap rises."""
     n, endpoints, avail, unlocks = task
     q = len(endpoints)
     if not q:
         return 0, ()
     labels = [0] * n
+    rem = [0] * n  # edges still to come at each vertex
+    for u, v in endpoints:
+        rem[u] += 1
+        rem[v] += 1
     w = [0] * q  # weight buffer: 0 marks an unplaced edge, so a level resets its edge on the way up
     refuted = set()  # the (placed mask, *labels) states with no order within the cap
     best_w = None
 
-    def place(avail, rank, total, placed):
+    def place(avail, rank, room, placed):
         """Place each available edge at `rank`; no label is above the cap,
-        and total is the labels' sum.  Returns whether the subtree holds no
-        order within the cap and no _beaten skip."""
+        none with an edge to come is at it, and room is cap - label summed
+        over the vertices with an edge to come.  Returns whether the subtree holds no order within the cap
+        and no _beaten skip."""
         nonlocal best_w
         refutes = True
-        left = q - rank
+        need = 2 * (q - rank)
         for i, j in enumerate(avail):
             u, v = endpoints[j]
-            lu, lv = labels[u], labels[v]
+            lu = labels[u]
+            lv = labels[v]
+            ru = rem[u] - 1
+            rv = rem[v] - 1
             if lv > lu:
-                t = labels[u] = lv + 1
-                s = total + t - lu
+                t = nu = lv + 1
+                nv = lv
             elif lu > lv:
-                t = labels[v] = lu + 1
-                s = total + t - lv
+                t = nv = lu + 1
+                nu = lu
             else:
-                t = labels[u] = labels[v] = lu + 1
-                s = total + 2
-            if t <= cap and s + 2 * left <= room:
-                w[j] = rank
-                if not left:  # an order within the cap
-                    refutes = False
-                    wt = tuple(w)
-                    if best_w is None or wt < best_w:
-                        best_w = wt
-                elif best_w is not None and _beaten(w, best_w, rank):
-                    refutes = False
-                else:
-                    key = (placed | 1 << j, *labels)
-                    if key not in refuted:
-                        if place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, s, key[0]):
-                            refuted.add(key)
-                        else:
-                            refutes = False
-                w[j] = 0
-            labels[u], labels[v] = lu, lv
+                t = nu = nv = lu + 1
+            if t > cap:
+                continue
+            # an end that goes on spends its rise of the room, one that finishes all of its own
+            r = room - (nu - lu if ru else cap - lu) - (nv - lv if rv else cap - lv)
+            if r < need or t == cap and (ru and nu == t or rv and nv == t):
+                continue  # too little room, or a vertex at the cap with an edge to come
+            w[j] = rank
+            if not need:  # an order within the cap
+                refutes = False
+                wt = tuple(w)
+                if best_w is None or wt < best_w:
+                    best_w = wt
+            elif best_w is not None and _beaten(w, best_w, rank):
+                refutes = False
+            else:
+                labels[u] = nu
+                labels[v] = nv
+                key = (placed | 1 << j, *labels)
+                if key not in refuted:
+                    rem[u] = ru
+                    rem[v] = rv
+                    if place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, r, key[0]):
+                        refuted.add(key)
+                    else:
+                        refutes = False
+                    rem[u] = ru + 1
+                    rem[v] = rv + 1
+                labels[u] = lu
+                labels[v] = lv
+            w[j] = 0
         return refutes
 
     for cap in range(-(-2 * q // n), q + 1):  # no order ends above q, so some cap holds one
-        room = cap * n
-        place(avail, 1, 0, 0)
+        place(avail, 1, cap * n, 0)
         if best_w is not None:
             break
         refuted.clear()

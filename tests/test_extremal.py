@@ -265,6 +265,13 @@ class TestPruningAgainstTheOrderStream:
     @example(PAW)
     @example(K24)
     @example(C8)
+    # The full-vertex cut: P5's middle edges lift a vertex to the cap of 2
+    # while its other edge is still to come.
+    @example(Structure(n=5, edges=((0, 1), (1, 2), (2, 3), (3, 4))))
+    # The finished-room cut: a spider with three legs of two edges, whose
+    # pendant vertices finish early and leave room below the cap that no
+    # later edge can use.
+    @example(Structure(n=7, edges=((0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6))))
     def test_exhaustive_search_equals_scanning_every_order(self, s):
         scanned = extremal._scan(s.n, s.edges, permutations(range(s.q)))
         report = min_over_weightings(s)

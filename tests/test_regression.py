@@ -1,4 +1,4 @@
-"""Byte-identity of CLI output on two seeded fixture graphs, six extremal
+"""Byte-identity of CLI output on two seeded fixture graphs, seven extremal
 searches (each at one, two and three jobs, four of them also as text),
 nine small files and eight oracle inputs.
 
@@ -11,10 +11,13 @@ files hold the stdout of two exhaustive, a symmetry-reduced and a sampled
 search, captured before the three extremal scan loops became one engine
 (the plain K5 search before it folded only the canonical orders), of an
 exhaustive search of extremal.r6_9_seed1.txt, `gen --random 6 9 --seed
-1`, captured before the search came to raise a value cap, and of an
+1`, captured before the search came to raise a value cap, of an
 exhaustive search of extremal.r7_10_seed2.txt, `gen --random 7 10 --seed
 2`, captured before every first edge of a structure other than K_n came
-to share one task;
+to share one task, and of an exhaustive search of extremal.k2_5.txt, the
+complete bipartite K_{2,5}, captured before the search came to cut at a
+vertex that reaches the cap with an edge to come and to count the room
+that finished vertices leave;
 EXTREMAL_TEXT holds the text report of the first four searches and of a
 file structure with an isolated vertex, its elapsed line masked.
 small_files.json holds nine small edge-list files -- comments and blank
@@ -62,6 +65,7 @@ EXTREMAL_COMMANDS = {
     "k6_sample500_seed3": ["--complete", "6", "--sample", "500", "--seed", "3"],
     "r6_9_seed1_exhaustive": ["--file", str(FIXTURES / "extremal.r6_9_seed1.txt"), "--exhaustive"],
     "r7_10_seed2_exhaustive": ["--file", str(FIXTURES / "extremal.r7_10_seed2.txt"), "--exhaustive"],
+    "k2_5_exhaustive": ["--file", str(FIXTURES / "extremal.k2_5.txt"), "--exhaustive"],
 }
 
 

@@ -14,7 +14,8 @@ go depth-first through _search: a task is its available edges and an
 unlock table, and the search places one available edge per level,
 changing only the two labels it touches and restoring them on the way
 back, so orders share the fold of their common prefix.  Placing an edge
-makes the edges its unlock table entry lists available.  K_n with n >= 3
+makes the edges its unlock table entry lists available, merged so that
+the available edges stay in ascending edge order.  K_n with n >= 3
 is one task, edge 0 alone available, whose unlock table admits only the
 canonical orders (below), whether or not reduce_symmetry is set.  Any
 other structure is one task with every edge available and no unlocks, so
@@ -39,7 +40,11 @@ rises still to come.  It also skips every (placed set, labels) state its
 table holds as refuted at that cap; the table is emptied when the cap
 rises.
 The first cap that holds an order is the minimum, since every lower one
-was refuted, and that pass keeps its lex-min order as the witness.  The
+was refuted, and that pass keeps its lex-min order as the witness.
+Trying the available edges in ascending order gives the lowest weights to
+the lowest edges first, so the first order a pass holds tends to be its
+lex-min one, and _beaten then cuts the rest of the pass: on K5 the pass
+at cap 5 holds the witness first and ends after 10 calls of place.  The
 engines return only the value and its witness; the report's `examined`
 is the size of the space the run covers (q!, q!/n! reduced, or the
 sample count), set once by min_over_weightings.
@@ -82,7 +87,7 @@ from .graphs import MAX_EDGES, EdgeKey, WeightedGraph
 from .labeling import check_lower_bound  # check_lower_bound: re-exported, see above
 
 # 10! = 3,628,800 weightings.  K5's 10!/5! = 30,240 canonical orders take two
-# caps, 4 refuted and 5 held, whose passes reach the last edge 70 times.
+# caps, 4 refuted and 5 held, whose passes reach the last edge once.
 EXHAUSTIVE_MAX_EDGES = 10
 # A sampled search holds about 280 bytes per edge: one-sample K_1414 and K_1549
 # searches peaked at 283 and 336 MB under a 1 GiB RLIMIT_AS, so this guard
@@ -172,7 +177,11 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
     order that places only available edges is decided, where placing edge
     j makes unlocks[j] available.  A fixed prefix is a chain of unlocks:
     its first edge alone in `avail`, each prefix edge unlocking the next,
-    and the last what is then available.
+    and the last what is then available.  A non-empty unlock list is
+    merged in edge order, so K_n's task, like a plain one, tries its
+    available edges ascending, and a pass's first order is then usually
+    its witness (see the module docstring).  The result does not rest on
+    that order, only the work does.
     Returns (min value, lex-min weight vector achieving it), (0, ()) when
     there are no edges.
 
@@ -215,10 +224,11 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
     best_w = None
 
     def place(avail, rank, room, placed):
-        """Place each available edge at `rank`; no label is above the cap,
-        none with an edge to come is at it, and room is cap - label summed
-        over the vertices with an edge to come.  Returns whether the subtree holds no order within the cap
-        and no _beaten skip."""
+        """Place each available edge at `rank`, in avail's order, which is
+        ascending once an unlock list has been merged in; no label is above
+        the cap, none with an edge to come is at it, and room is cap - label
+        summed over the vertices with an edge to come.  Returns whether the
+        subtree holds no order within the cap and no _beaten skip."""
         nonlocal best_w
         refutes = True
         need = 2 * (q - rank)
@@ -257,7 +267,10 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
                 if key not in refuted:
                     rem[u] = ru
                     rem[v] = rv
-                    if place(avail[:i] + avail[i + 1 :] + unlocks[j], rank + 1, r, key[0]):
+                    rest = avail[:i] + avail[i + 1 :]
+                    if unlocks[j]:  # K_n's task alone has unlocks: merged in edge order
+                        rest = tuple(sorted(rest + unlocks[j]))
+                    if place(rest, rank + 1, r, key[0]):
                         refuted.add(key)
                     else:
                         refutes = False

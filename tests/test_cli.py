@@ -648,6 +648,49 @@ class TestDeterminism:
         assert first == second
 
 
+class TestOneParser:
+    """main builds its parser once per process, at its first call, and every
+    later call parses with that same parser."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_share_the_parser_and_leak_nothing_between_them(self, capsys):
+        expected = (FIXTURES / "extremal.k5_exhaustive.out").read_text()
+        parser = cli._build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["extremal", "--complete", "5"])  # neither --exhaustive nor --sample
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"monotrails {monotrails.__version__}\n"
+        for _ in range(2):
+            assert run_cli(capsys, "extremal", "--complete", "5", "--exhaustive", "--json") == (
+                0, expected, ""
+            )
+        assert cli._build_parser() is parser
+
+    def test_importing_the_cli_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import monotrails.cli\n"
+            "print(built, monotrails.cli._build_parser.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(monotrails.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (run.returncode, run.stdout) == (0, "[] 0\n"), run.stderr
+
+
 class TestReadme:
     def test_command_lines_parse(self, capsys):
         # A flag that is removed or renamed must not stay in the docs.

@@ -109,16 +109,17 @@ def plain_task(s: Structure):
     return (s.n, s.edges, tuple(range(s.q)), ((),) * s.q)
 
 
+K4_TASK = extremal._reduce_task(4, complete_structure(4).edges)
 K5_TASK = extremal._reduce_task(5, complete_structure(5).edges)
 
 
 @st.composite
-def k5_prefixes(draw):
-    """One to all ten edges the K5 task may place in turn, (v1,v2), its
+def prefixes(draw, task):
+    """One to all of the edges K_n's task may place in turn, (v1,v2), its
     one available edge, first."""
-    _, _, avail, unlocks = K5_TASK
+    _, endpoints, avail, unlocks = task
     prefix = ()
-    for _ in range(draw(st.integers(1, 10))):
+    for _ in range(draw(st.integers(1, len(endpoints)))):
         j = draw(st.sampled_from(avail))
         i = avail.index(j)
         prefix, avail = prefix + (j,), avail[:i] + avail[i + 1 :] + unlocks[j]
@@ -303,13 +304,38 @@ class TestPruningAgainstTheOrderStream:
             assert extremal._search(t) == extremal._scan(s.n, s.edges, admitted_orders(*t[2:]))
 
     @settings(max_examples=60, deadline=None)
-    @given(k5_prefixes())
+    @given(prefixes(K5_TASK))
     # After (v1,v2), placing (v1,v3), (v3,v5), (v4,v5), (v2,v4) leaves labels
     # whose bound is 5, yet every order ends at 7: its search refutes two caps.
     @example((0, 1, 8, 9, 5))
     def test_each_branch_of_the_k5_task_decides_the_orders_it_admits(self, prefix):
         t = branch(K5_TASK, prefix)
         assert extremal._search(t) == extremal._scan(5, t[1], admitted_orders(*t[2:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([K4_TASK, K5_TASK]).flatmap(
+                lambda task: prefixes(task).map(lambda prefix: branch(task, prefix))
+            ),
+            small_structures(max_n=6, max_q=7).map(plain_task),
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_a_task_decides_alike_in_any_input_order(self, task, rnd):
+        # _search merges unlocked edges in edge order, but its exactness must
+        # not rest on that: a task with avail and every unlock list shuffled
+        # admits the same orders, so it must find the same minimum and witness.
+        n, endpoints, avail, unlocks = task
+
+        def shuffled(edges):
+            edges = list(edges)
+            rnd.shuffle(edges)
+            return tuple(edges)
+
+        mixed = (n, endpoints, shuffled(avail), tuple(shuffled(u) for u in unlocks))
+        expected = extremal._scan(n, endpoints, admitted_orders(avail, unlocks))
+        assert extremal._search(mixed) == extremal._search(task) == expected
 
     def test_every_structure_on_five_vertices_with_at_most_six_edges(self):
         # 848 structures, each first edge's branch on its own too: a state

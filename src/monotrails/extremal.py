@@ -10,20 +10,20 @@ which the search visits the weightings.
 
 The search folds processing orders, the inverses of weight vectors, since
 the label update takes edges in ascending weight order.  Exhaustive runs
-go depth-first through _search: a task is its available edges and an
-unlock table, and the search places one available edge per level,
-changing only the two labels it touches and restoring them on the way
-back, so orders share the fold of their common prefix.  Placing an edge
-makes the edges its unlock table entry lists available, merged so that
-the available edges stay in ascending edge order.  K_n with n >= 3
-is one task, edge 0 alone available, whose unlock table admits only the
-canonical orders (below), whether or not reduce_symmetry is set.  Any
-other structure is one task with every edge available and no unlocks, so
-its first edges share one cap ladder and one refuted-state table.  Edge 0
-comes first, and once its subtree holds an order within the cap, which
-has weight 1 on edge 0, _beaten cuts every other first edge at depth 1.
-The search runs in the calling process: under the guard the slowest
-search measured takes 4-7 ms, and worker processes made searches slower.
+go depth-first through _search: a task is a bitmask of its available
+edges and an unlock table of bitmasks, and the search places one
+available edge per level, lowest bit first, changing only the two labels
+it touches and restoring them on the way back, so orders share the fold
+of their common prefix.  Placing edge j clears its bit and sets the bits
+of unlocks[j].  K_n with n >= 3 is one task, edge 0 alone available,
+whose unlock table admits only the canonical orders (below), whether or
+not reduce_symmetry is set.  Any other structure is one task with every
+edge available and no unlocks, so its first edges share one cap ladder
+and one refuted-state table.  Edge 0 comes first, and once its subtree
+holds an order within the cap, which has weight 1 on edge 0, _beaten
+cuts every other first edge at depth 1.  The search runs in the calling
+process: under the guard the slowest search measured, K_{2,5}, takes
+4-8 ms, and worker processes made searches slower.
 Sampled mode, _scan's only caller, draws its orders from one seeded
 stream: _scan folds each order, drawn just before, from zero labels, and
 leaves it once a label passes the best value.  The m vertices with edges
@@ -41,8 +41,8 @@ table holds as refuted at that cap; the table is emptied when the cap
 rises.
 The first cap that holds an order is the minimum, since every lower one
 was refuted, and that pass keeps its lex-min order as the witness.
-Trying the available edges in ascending order gives the lowest weights to
-the lowest edges first, so the first order a pass holds tends to be its
+Trying the available edges lowest first gives the lowest weights to the
+lowest edges first, so the first order a pass holds tends to be its
 lex-min one, and _beaten then cuts the rest of the pass: on K5 the pass
 at cap 5 holds the witness first and ends after 10 calls of place.  The
 engines return only the value and its witness; the report's `examined`
@@ -174,14 +174,14 @@ class ExtremalReport(NamedTuple):
 
 def _search(task) -> tuple[int, tuple[int, ...]]:
     """Evaluate one task (n, endpoints, avail, unlocks) depth-first: every
-    order that places only available edges is decided, where placing edge
-    j makes unlocks[j] available.  A fixed prefix is a chain of unlocks:
-    its first edge alone in `avail`, each prefix edge unlocking the next,
-    and the last what is then available.  A non-empty unlock list is
-    merged in edge order, so K_n's task, like a plain one, tries its
-    available edges ascending, and a pass's first order is then usually
-    its witness (see the module docstring).  The result does not rest on
-    that order, only the work does.
+    order that places only available edges is decided, where `avail` and
+    each unlocks[j] are bitmasks of edges and placing edge j makes
+    unlocks[j] available.  A fixed prefix is a chain of unlocks: its first
+    edge alone in `avail`, each prefix edge unlocking the next, and the
+    last what is then available.  Each level tries its available edges
+    lowest first, so a pass's first order is usually its witness (see the
+    module docstring).  The result does not rest on that order, only the
+    work does.
     Returns (min value, lex-min weight vector achieving it), (0, ()) when
     there are no edges.
 
@@ -202,9 +202,9 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
     order the witness.
 
     The orders that complete a state, the placed set with the labels,
-    depend on the placed set alone: an edge is available once it is in
-    `avail` or the one edge whose unlock list holds it is placed (no edge
-    is in two lists), until it is placed itself.  The edges to come at a
+    depend on the placed set alone: the available edges are `avail` and
+    the unlocks of the placed edges, less the placed ones, as long as no
+    edge unlocks one that can be placed before it.  The edges to come at a
     vertex are the unplaced ones, so the skips above read the state alone
     too.  So a state whose subtree holds no order within the cap has none
     however it is reached, and the pass skips it when met again.  It is
@@ -224,15 +224,19 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
     best_w = None
 
     def place(avail, rank, room, placed):
-        """Place each available edge at `rank`, in avail's order, which is
-        ascending once an unlock list has been merged in; no label is above
-        the cap, none with an edge to come is at it, and room is cap - label
-        summed over the vertices with an edge to come.  Returns whether the
-        subtree holds no order within the cap and no _beaten skip."""
+        """Place each edge of the mask `avail` at `rank`, lowest first; no
+        label is above the cap, none with an edge to come is at it, and room
+        is cap - label summed over the vertices with an edge to come.
+        Returns whether the subtree holds no order within the cap and no
+        _beaten skip."""
         nonlocal best_w
         refutes = True
         need = 2 * (q - rank)
-        for i, j in enumerate(avail):
+        a = avail
+        while a:
+            bit = a & -a
+            a ^= bit
+            j = bit.bit_length() - 1
             u, v = endpoints[j]
             lu = labels[u]
             lv = labels[v]
@@ -263,14 +267,11 @@ def _search(task) -> tuple[int, tuple[int, ...]]:
             else:
                 labels[u] = nu
                 labels[v] = nv
-                key = (placed | 1 << j, *labels)
+                key = (placed | bit, *labels)
                 if key not in refuted:
                     rem[u] = ru
                     rem[v] = rv
-                    rest = avail[:i] + avail[i + 1 :]
-                    if unlocks[j]:  # K_n's task alone has unlocks: merged in edge order
-                        rest = tuple(sorted(rest + unlocks[j]))
-                    if place(rest, rank + 1, r, key[0]):
+                    if place(avail ^ bit | unlocks[j], rank + 1, r, key[0]):
                         refuted.add(key)
                     else:
                         refutes = False
@@ -342,12 +343,12 @@ def _reduce_task(n: int, endpoints):
     and the unlock table that admits exactly the canonical orders, (v1,v2)
     unlocking (v1,v3) and every edge that meets neither v1 nor v2."""
     q = len(endpoints)
-    unlocks = [()] * q
-    unlocks[0] = (1, *range(2 * n - 3, q))
+    unlocks = [0] * q
+    unlocks[0] = 1 << 1 | (1 << q) - (1 << 2 * n - 3)  # edges 2n-3.. meet neither
     for h in range(1, n - 2):  # hub (v1,v(h+2)) is edge h
-        unlocks[h] = (h + 1,)
-    unlocks[1] += tuple(range(n - 1, 2 * n - 3))  # the rivals (v2,x)
-    return (n, endpoints, (0,), unlocks)
+        unlocks[h] = 1 << h + 1
+    unlocks[1] |= (1 << 2 * n - 3) - (1 << n - 1)  # the rivals (v2,x), edges n-1..2n-4
+    return (n, endpoints, 1, unlocks)
 
 
 def _sampled_orders(q: int, mode: Sampled):
@@ -424,7 +425,7 @@ def min_over_weightings(
         if canonical and reduce_symmetry:
             reduction_factor = math.factorial(structure.n)
         best, best_w = _search(
-            _reduce_task(m, endpoints) if canonical else (m, endpoints, tuple(range(q)), ((),) * q)
+            _reduce_task(m, endpoints) if canonical else (m, endpoints, (1 << q) - 1, (0,) * q)
         )
 
     return ExtremalReport(

@@ -280,14 +280,12 @@ def complete_graph(n: int, weights: list[int]) -> WeightedGraph:
     """
     if n < 1:
         raise MonotrailsError(f"vertex count must be >= 1, got {n}")
-    keys = list(combinations(range(n), 2))
-    if len(weights) != len(keys):
-        raise MonotrailsError(
-            f"K_{n} has {len(keys)} edges, got {len(weights)} weights"
-        )
-    g = WeightedGraph(n=n, edges=dict(zip(keys, weights)), mode=Mode.STRICT)
+    q = n * (n - 1) // 2  # counted before any of the q keys is listed
+    if len(weights) != q:
+        raise MonotrailsError(f"K_{n} has {q} edges, got {len(weights)} weights")
+    g = WeightedGraph(n=n, edges=dict(zip(combinations(range(n), 2), weights)), mode=Mode.STRICT)
     if g._rank_order is None:
-        raise MonotrailsError(f"weights are not a permutation of 1..{len(keys)}")
+        raise MonotrailsError(f"weights are not a permutation of 1..{q}")
     return g
 
 

@@ -1,10 +1,13 @@
 """Graph construction, validation, generators, and the edge-list format."""
 
+import os
 import random
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +306,25 @@ class TestCompleteGraph:
     def test_wrong_length(self):
         with pytest.raises(MonotrailsError, match=r"^K_3 has 3 edges, got 2 weights$"):
             complete_graph(3, [1, 2])
+
+    def test_a_wrong_length_is_refused_before_any_key_is_listed(self):
+        # K_100000's 4,999,950,000 keys do not fit in the child's 256 MiB address space.
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from monotrails.errors import MonotrailsError\n"
+            "from monotrails.graphs import complete_graph\n"
+            "try:\n    complete_graph(100000, [1])\n"
+            "except MonotrailsError as e:\n    print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (
+            0, "K_100000 has 4999950000 edges, got 1 weights\n", ""
+        )
 
     def test_not_a_permutation(self):
         # Only the ints 1..q are a permutation: equal values of other types are not.
